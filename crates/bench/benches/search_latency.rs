@@ -53,7 +53,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         // measured by the fig4 binary; this isolates per-round cost).
         let profile = mileena_discovery::DatasetProfile::of(&request.train, 128);
         let cands =
-            enumerate_candidates(&index, platform.store(), &profile, &CandidateLimits::default())
+            enumerate_candidates(&index, &platform.store(), &profile, &CandidateLimits::default())
                 .resolve(platform.store().dataset_interner());
         let arda_cfg = SearchConfig { max_augmentations: 1, ..Default::default() };
         group.bench_with_input(BenchmarkId::new("arda_one_round", n), &n, |b, _| {

@@ -73,7 +73,7 @@ fn main() {
     let profile = mileena_discovery::DatasetProfile::of(&request.train, 128);
     let all_cands = enumerate_candidates(
         &index,
-        platform.store(),
+        &platform.store(),
         &profile,
         &mileena_search::CandidateLimits::default(),
     )

@@ -10,7 +10,10 @@
 //! - [`CentralPlatform`] — the **untrusted** central search service: stores
 //!   uploads, indexes them for discovery, and answers search requests over
 //!   privatized sketches only. Budget accounting is enforced per dataset
-//!   at upload time; searches are free post-processing.
+//!   at upload time; searches are free post-processing. It is one
+//!   coordinator ([`Platform`]: placement, admission, the search session,
+//!   telemetry) over one [`Shard`] (store + index + ledger + storage
+//!   engine); [`ShardedPlatform`] is the same coordinator over S of them.
 //!
 //! The boundary between the two is **sketches-only and versioned**: a
 //! requester's raw relations are reduced to a `SketchedRequest` locally
@@ -72,14 +75,16 @@ pub use durable::{RecoveryReport, StoragePolicy, WalOp};
 pub use error::{CoreError, Result};
 pub use local::{LocalDataStore, ProviderUpload, SearchRequestBuilder, TaskRequest};
 pub use net::{ClientFrame, ServerFrame, TcpServer, TcpServerConfig, TcpWire};
-pub use platform::{CentralPlatform, PlatformConfig, PlatformSearchResult};
+pub use platform::{
+    CentralPlatform, Layout, Platform, PlatformConfig, PlatformSearchResult, ShardedPlatform,
+};
 pub use retry::{search_with_retry, RetryPolicy};
 pub use sched::SchedulerConfig;
 pub use service::{
     wire_admin, wire_register, wire_submit, InProcess, JsonWire, PlatformService, SearchSession,
     WireSession,
 };
-pub use shard::ShardedPlatform;
+pub use shard::Shard;
 pub use wire::{
     AdminOp, AdminReply, CheckpointReceipt, DiscoveryReport, ErrorCode, PlatformStats,
     SchedulerReport, SearchReply, ShardReport, SpanBreakdown, StopCounts, StorageReport,

@@ -1,37 +1,84 @@
-//! The central task-based dataset search service (Figure 1, green
-//! workflow): sketch store + discovery index + search sessions, behind one
-//! sketches-only API.
+//! The task-based dataset search service (Figure 1, green workflow) as one
+//! coordinator over S shards, behind one sketches-only API.
+//!
+//! A [`crate::shard::Shard`] is a corpus partition: store, discovery index,
+//! budget ledger and storage engine behind the journaled mutation path.
+//! The coordinator here is everything else: placement, admission, the
+//! enumeration merge, the search session, telemetry and circuit breakers.
+//! [`CentralPlatform`] is the coordinator over exactly one shard rooted at
+//! `storage.dir`; [`ShardedPlatform`] is the coordinator over
+//! `config.shards` shards rooted at `dir/shard-<i>`. Which constructor was
+//! called is the only thing that tells them apart: every mutation and every
+//! search takes the same path at every S.
 //!
 //! The platform never sees raw requester data: searches arrive as
 //! [`SketchedRequest`]s (see `mileena-search::request`), and every session
-//! runs against a frozen store snapshot plus an index read-lock snapshot —
-//! N requesters search in parallel against consistent corpus views while
-//! providers keep registering.
+//! runs against one frozen store snapshot per shard plus an index read-lock
+//! enumeration — N requesters search in parallel against consistent corpus
+//! views while providers keep registering.
+//!
+//! **Placement.** A dataset's owning shard is decided once, at first
+//! sight, by hashing its interned `DatasetId`; the decision is then
+//! remembered in a membership map. On reopen the map is rebuilt from what
+//! each shard's store recovered *and* from each shard's budget ledger —
+//! ledger entries survive dataset removal, so a remove/re-register cycle
+//! still routes to the shard holding the spend and cannot launder budget
+//! through the partitioning.
+//!
+//! **Parity.** All shards share one dataset/key interner and one
+//! corpus-global TF-IDF [`TermSpace`], and the search loop's gather
+//! tie-break is the candidate's global enumeration position, so selections,
+//! scores and models are bit-identical at every shard count (pinned by the
+//! `sharded_parity` suite); only execution counters (evaluations/bound
+//! skips) may differ at S > 1, because the distributed pruning walk is a
+//! different — equally admissible — walk.
+//!
+//! **Unavailability.** A shard marked unavailable fails its mutations
+//! with the typed [`CoreError::ShardUnavailable`]; searches fail fast when
+//! *any* shard is down, because a partial scatter would silently change
+//! selections — worse than an honest error. A caller that prefers a
+//! partial answer over no answer opts in with `SearchConfig::degraded_ok`:
+//! the search then runs over the live shard subset and the reply says so
+//! explicitly (`degraded`, `shards_missing`).
+//!
+//! **Supervision.** Each shard sits behind a circuit breaker
+//! (Healthy → Suspect → Quarantined → Recovering, see [`ShardHealth`]):
+//! consecutive failed shard calls — injected faults, crashes, or gather
+//! deadline strikes — open the breaker and quarantine the shard. A
+//! quarantined durable shard is auto-recovered on the next touch by
+//! re-opening it from its own WAL directory, the exact recovery path a
+//! restart would take, so the rebuilt shard is bit-identical; a volatile
+//! shard half-opens (its in-memory state never went away). Operator downs
+//! (`set_shard_available`) are *not* auto-recovered — only the operator
+//! flips them back. All of this holds at S = 1 too, where it is inert at
+//! the defaults (no fault plan, `degraded_ok` off, `shard_deadline_ms` 0).
 
-use crate::durable::{
-    DeltaPayload, DeltaPayloadRef, PlatformSnapshotRef, RecoveryReport, SketchRegion,
-    SnapshotIndex, StoragePolicy, WalOp, WalOpRef,
-};
+use crate::durable::{RecoveryReport, StoragePolicy};
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
 use crate::sched::{ExecMode, SchedulerConfig, SessionJob, SessionScheduler};
 use crate::service::SearchSession;
+use crate::shard::Shard;
 use crate::wire::{
-    CheckpointReceipt, DiscoveryReport, PlatformStats, SearchReply, SpanBreakdown, StorageReport,
+    CheckpointReceipt, DiscoveryReport, PlatformStats, SearchReply, ShardHealth, ShardHealthState,
+    ShardReport,
 };
-use mileena_discovery::{DatasetProfile, DiscoveryConfig, DiscoveryIndex};
+use mileena_discovery::{DiscoveryConfig, TermSpace};
 use mileena_ml::{LinearModel, RidgeConfig};
 use mileena_obs::{Metrics, MetricsReport};
-use mileena_privacy::{BudgetAccountant, PrivacyBudget};
+use mileena_privacy::PrivacyBudget;
+use mileena_relation::{DatasetInterner, FxHashMap};
 use mileena_search::{
-    build_sketched_state, enumerate_candidates, GreedySearch, SearchConfig, SearchControl,
-    SearchEvent, SearchOutcome, SearchRequest, SketchedRequest,
+    build_sketched_state, enumerate_candidates, Candidate, CandidateLimits, CandidateSet,
+    ScatterSearch, ScatterStats, SearchConfig, SearchControl, SearchError, SearchEvent,
+    SearchOutcome, SearchRequest, ShardCallFault, ShardCallInterceptor, ShardPartition,
+    SketchedRequest,
 };
-use mileena_sketch::{SketchError, SketchStore};
-use mileena_storage::{StorageEngine, StorageOptions};
-use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use mileena_sketch::SketchStore;
+use mileena_storage::{FaultKind, FaultSite};
+use parking_lot::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -56,13 +103,13 @@ pub struct PlatformConfig {
     /// Session-scheduler tuning: worker-pool size, admission-queue depth,
     /// chaos fault plan.
     pub scheduler: SchedulerConfig,
-    /// Shard-worker count for [`crate::ShardedPlatform`] deployments: the
-    /// corpus is partitioned across this many shard workers and searches
-    /// scatter-gather across them. `CentralPlatform` ignores it (it *is*
-    /// the single-shard reference).
+    /// Shard count for [`ShardedPlatform`] deployments: the corpus is
+    /// partitioned across this many shards and searches scatter-gather
+    /// across them. `CentralPlatform` ignores it (it is always the
+    /// coordinator over exactly one shard).
     pub shards: usize,
-    /// Durable-storage policy. Honored by [`CentralPlatform::open_with`] /
-    /// [`CentralPlatform::open`]; [`CentralPlatform::new`] always builds a
+    /// Durable-storage policy. Honored by [`Platform::open_with`] /
+    /// [`CentralPlatform::open`]; [`Platform::new`] always builds a
     /// volatile platform.
     pub storage: Option<StoragePolicy>,
 }
@@ -102,548 +149,392 @@ impl Drop for SessionGuard {
     }
 }
 
-/// Durable-storage state behind the platform's mutation lock: holding it
-/// serializes every state mutation with its journal append, so the WAL's
-/// record order always matches the in-memory apply order.
-#[derive(Debug, Default)]
-struct DurableState {
-    engine: Option<StorageEngine>,
-    recovery: Option<RecoveryReport>,
-    last_checkpoint_error: Option<String>,
-    /// Datasets registered or replaced since the last checkpoint (full or
-    /// delta) — the next delta checkpoint serializes exactly these.
-    dirty_datasets: std::collections::BTreeSet<String>,
-    /// Datasets removed since the last checkpoint.
-    removed_datasets: std::collections::BTreeSet<String>,
-    /// Ledger rows changed since the last checkpoint (grants and charges).
-    dirty_ledger: std::collections::BTreeSet<String>,
-}
-
-impl DurableState {
-    /// Track which state a journaled mutation dirties, so a delta
-    /// checkpoint can serialize only the changed subset.
-    fn note_mutation(&mut self, op: &WalOpRef<'_>) {
-        match op {
-            WalOpRef::Register { upload } | WalOpRef::Replace { upload } => {
-                let name = &upload.sketch.name;
-                self.dirty_datasets.insert(name.clone());
-                self.removed_datasets.remove(name);
-                if upload.budget.is_some() {
-                    self.dirty_ledger.insert(name.clone());
-                }
-            }
-            WalOpRef::Remove { dataset } => {
-                self.dirty_datasets.remove(*dataset);
-                self.removed_datasets.insert((*dataset).to_string());
-            }
-            WalOpRef::Grant { dataset, .. } | WalOpRef::Charge { dataset, .. } => {
-                self.dirty_ledger.insert((*dataset).to_string());
-            }
-        }
-    }
-
-    /// A checkpoint (full or delta) captured everything dirty so far.
-    fn clear_dirty(&mut self) {
-        self.dirty_datasets.clear();
-        self.removed_datasets.clear();
-        self.dirty_ledger.clear();
-    }
-}
-
-/// Cumulative evaluation-plan counters across every search the platform
-/// served, surfaced through `stats()` so operators can watch the
-/// bound-pruning win at fleet level (skips / (skips + evaluations) is the
-/// fraction of candidate scorings the pruner saved).
+/// Cumulative evaluation-plan and scatter-gather counters across every
+/// search the platform served, surfaced through `stats()` so operators can
+/// watch the bound-pruning win at fleet level (skips / (skips +
+/// evaluations) is the fraction of candidate scorings the pruner saved).
 #[derive(Debug, Default)]
 struct SearchTotals {
     evaluations: AtomicU64,
     bound_skips: AtomicU64,
     candidates_truncated: AtomicU64,
+    scatter_rounds: AtomicU64,
+    gather_rounds: AtomicU64,
+    cross_shard_skips: AtomicU64,
 }
 
 impl SearchTotals {
-    fn record(&self, outcome: &SearchOutcome) {
+    fn record(&self, outcome: &SearchOutcome, stats: &ScatterStats) {
         self.evaluations.fetch_add(outcome.evaluations as u64, Ordering::Relaxed);
         self.bound_skips.fetch_add(outcome.bound_skips as u64, Ordering::Relaxed);
         self.candidates_truncated.fetch_add(outcome.candidates_truncated as u64, Ordering::Relaxed);
+        self.scatter_rounds.fetch_add(stats.rounds, Ordering::Relaxed);
+        self.gather_rounds.fetch_add(stats.shard_rounds, Ordering::Relaxed);
+        self.cross_shard_skips.fetch_add(stats.cross_shard_skips, Ordering::Relaxed);
     }
 }
 
-/// The central platform. Thread-safe: uploads and searches interleave, and
-/// any number of search sessions run concurrently.
+/// Consecutive failed shard calls (injected faults or gather deadline
+/// strikes) that open a shard's circuit breaker. A crash opens it
+/// immediately regardless of the count.
+const BREAKER_THRESHOLD: u64 = 3;
+
+/// One shard's breaker bookkeeping (guarded by the supervisor's per-shard
+/// mutex; snapshotted into [`ShardHealth`] for reports).
+#[derive(Debug, Default)]
+struct BreakerCore {
+    state: ShardHealthState,
+    consecutive_failures: u64,
+    breaker_opened: u64,
+    timeout_strikes: u64,
+    recoveries: u64,
+}
+
+/// The per-shard health supervisors: the breaker state machine
+/// Healthy → Suspect → Quarantined → Recovering → Healthy. Failures and
+/// timeout strikes are recorded from search workers (via the shard-call
+/// interceptor and gather stats); recovery transitions are driven by the
+/// coordinator on its own threads ([`Platform::recover_shard`]).
 #[derive(Debug)]
-pub struct CentralPlatform {
-    store: SketchStore,
-    index: RwLock<DiscoveryIndex>,
-    accountant: Mutex<BudgetAccountant>,
+struct ShardSupervisors {
+    shards: Vec<Mutex<BreakerCore>>,
+    metrics: Arc<Metrics>,
+}
+
+impl ShardSupervisors {
+    fn new(n: usize, metrics: Arc<Metrics>) -> Self {
+        ShardSupervisors {
+            shards: (0..n).map(|_| Mutex::new(BreakerCore::default())).collect(),
+            metrics,
+        }
+    }
+
+    fn state(&self, shard: usize) -> ShardHealthState {
+        self.shards[shard].lock().state
+    }
+
+    /// Snapshot every shard's breaker into the wire form for `stats()`.
+    fn health(&self) -> Vec<ShardHealth> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(shard, core)| {
+                let b = core.lock();
+                ShardHealth {
+                    shard,
+                    state: b.state,
+                    consecutive_failures: b.consecutive_failures,
+                    breaker_opened: b.breaker_opened,
+                    timeout_strikes: b.timeout_strikes,
+                    recoveries: b.recoveries,
+                }
+            })
+            .collect()
+    }
+
+    /// A shard call completed cleanly: close the failure run. Only a
+    /// successful *recovery* closes an open breaker.
+    fn record_success(&self, shard: usize) {
+        let mut b = self.shards[shard].lock();
+        if matches!(b.state, ShardHealthState::Healthy | ShardHealthState::Suspect) {
+            b.consecutive_failures = 0;
+            b.state = ShardHealthState::Healthy;
+        }
+    }
+
+    /// A shard call failed: extend the failure run; at
+    /// [`BREAKER_THRESHOLD`] the breaker opens and the shard quarantines.
+    fn record_failure(&self, shard: usize) {
+        let mut b = self.shards[shard].lock();
+        if matches!(b.state, ShardHealthState::Quarantined | ShardHealthState::Recovering) {
+            return;
+        }
+        self.metrics.shard_call_failures.inc();
+        b.consecutive_failures += 1;
+        if b.consecutive_failures >= BREAKER_THRESHOLD {
+            self.open(&mut b);
+        } else {
+            b.state = ShardHealthState::Suspect;
+        }
+    }
+
+    /// A shard blew its per-round gather deadline: a timeout strike, which
+    /// feeds the breaker exactly like a failed call.
+    fn record_timeout(&self, shard: usize) {
+        {
+            let mut b = self.shards[shard].lock();
+            b.timeout_strikes += 1;
+        }
+        self.metrics.shard_timeout_strikes.inc();
+        self.record_failure(shard);
+    }
+
+    /// A shard crashed mid-call: straight to Quarantined, no grace.
+    fn quarantine(&self, shard: usize) {
+        let mut b = self.shards[shard].lock();
+        if !matches!(b.state, ShardHealthState::Quarantined | ShardHealthState::Recovering) {
+            b.consecutive_failures += 1;
+            self.metrics.shard_call_failures.inc();
+            self.open(&mut b);
+        }
+    }
+
+    fn open(&self, b: &mut BreakerCore) {
+        b.state = ShardHealthState::Quarantined;
+        b.breaker_opened += 1;
+        self.metrics.shard_breaker_opened.inc();
+        self.metrics.shards_quarantined.add(1);
+    }
+
+    /// Claim the recovery of a quarantined shard (half-open). Returns
+    /// false when the shard is not quarantined or another thread already
+    /// holds the recovery.
+    fn begin_recovery(&self, shard: usize) -> bool {
+        let mut b = self.shards[shard].lock();
+        if b.state == ShardHealthState::Quarantined {
+            b.state = ShardHealthState::Recovering;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Settle a claimed recovery: success closes the breaker, failure
+    /// re-quarantines for the next probe.
+    fn finish_recovery(&self, shard: usize, ok: bool) {
+        let mut b = self.shards[shard].lock();
+        if ok {
+            b.state = ShardHealthState::Healthy;
+            b.consecutive_failures = 0;
+            b.recoveries += 1;
+            self.metrics.shard_recoveries.inc();
+            self.metrics.shards_quarantined.add(-1);
+        } else {
+            b.state = ShardHealthState::Quarantined;
+        }
+    }
+}
+
+/// How a deployment lays out its shards — the one thing that tells a
+/// [`CentralPlatform`] from a [`ShardedPlatform`].
+pub trait Layout {
+    /// `true`: `config.shards` shards rooted at `dir/shard-<i>`, and
+    /// `stats()` fills `shards`. `false`: exactly one shard rooted at
+    /// `dir`, and `stats()` fills `storage`.
+    const PARTITIONED: bool;
+}
+
+/// [`Layout`] of a [`CentralPlatform`].
+#[derive(Debug)]
+pub struct SingleShard;
+
+impl Layout for SingleShard {
+    const PARTITIONED: bool = false;
+}
+
+/// [`Layout`] of a [`ShardedPlatform`].
+#[derive(Debug)]
+pub struct Partitioned;
+
+impl Layout for Partitioned {
+    const PARTITIONED: bool = true;
+}
+
+/// The central platform: the coordinator over exactly one shard.
+pub type CentralPlatform = Platform<SingleShard>;
+
+/// The sharded platform: the coordinator over `config.shards` shards.
+pub type ShardedPlatform = Platform<Partitioned>;
+
+/// The session body [`Platform::prepare_search`] builds: run it on a
+/// scheduler worker (or inline) to get the search result and its wire
+/// reply.
+type SearchExec = Box<dyn FnOnce(ExecMode) -> Result<(PlatformSearchResult, SearchReply)> + Send>;
+
+/// The platform: S shards behind one coordinator. Thread-safe: uploads and
+/// searches interleave, and any number of search sessions run
+/// concurrently.
+#[derive(Debug)]
+pub struct Platform<L: Layout> {
+    /// Shards behind per-slot locks: supervised recovery swaps a rebuilt
+    /// shard in while the coordinator keeps serving.
+    shards: Vec<Mutex<Arc<Shard>>>,
+    available: Vec<AtomicBool>,
+    /// Dataset name → owning shard. Grows on first placement, survives
+    /// removal (the shard's ledger may still hold the spend), rebuilt from
+    /// shard stores + ledgers at open.
+    membership: Mutex<FxHashMap<String, usize>>,
     config: PlatformConfig,
     active_sessions: Arc<AtomicUsize>,
     session_counter: AtomicU64,
-    search_totals: Arc<SearchTotals>,
-    metrics: Arc<Metrics>,
+    totals: Arc<SearchTotals>,
     sched: SessionScheduler,
-    durable: Mutex<DurableState>,
+    /// The deployment's one telemetry registry: search stages and breakers
+    /// record here, and so do the shards (WAL, snapshots, hydration).
+    metrics: Arc<Metrics>,
+    /// Per-shard circuit breakers (shared with search workers, which
+    /// record call failures through the shard-call interceptor).
+    supervisors: Arc<ShardSupervisors>,
+    /// The corpus-global TF-IDF term space every shard index shares —
+    /// kept on the coordinator so a recovered shard's rebuilt index joins
+    /// the same space (the parity guarantee for recovery).
+    terms: TermSpace,
+    layout: PhantomData<L>,
 }
 
 impl CentralPlatform {
-    /// New empty **volatile** platform: state lives in memory only and is
-    /// gone on drop. Production deployments with privacy budgets should
-    /// use [`CentralPlatform::open`] — an in-memory ledger silently
-    /// forgets spent budget across restarts, which voids the DP guarantee.
-    pub fn new(config: PlatformConfig) -> Self {
-        Self::assemble(
-            SketchStore::new(),
-            DiscoveryIndex::new(config.discovery.clone()),
-            BudgetAccountant::new(),
-            config,
-            DurableState::default(),
-            Arc::new(Metrics::new()),
-        )
-    }
-
     /// Open a **durable** platform at `dir` with the default config and
     /// storage policy, creating the directory on first use and recovering
-    /// existing state otherwise. See [`CentralPlatform::open_with`].
+    /// existing state otherwise. See [`Platform::open_with`].
     pub fn open(dir: impl Into<std::path::PathBuf>) -> Result<Self> {
         let config = PlatformConfig { storage: Some(StoragePolicy::at(dir)), ..Default::default() };
         Self::open_with(config)
     }
 
-    /// Open a durable platform per `config.storage` (required).
-    ///
-    /// Recovery: loads the newest valid snapshot (falling back past
-    /// corrupted ones), replays the WAL tail — each surviving record
-    /// applied exactly once, in sequence order, so budget accounting is
-    /// never double-spent — truncates any torn final record, and rebuilds
-    /// the discovery index from the recovered profiles. The recovered
-    /// platform answers searches bit-identically to one that never
-    /// restarted.
+    /// The sketch store (read access for benches/inspection; a cheap-clone
+    /// handle onto the live store).
+    pub fn store(&self) -> SketchStore {
+        self.shard(0).store().clone()
+    }
+
+    /// Serve a raw-relation search request (Problem 1). **Deprecated
+    /// boundary**: this sketches the relations platform-side, which only a
+    /// co-located deployment should ever do — new code should sketch
+    /// locally (`SearchRequestBuilder` / `LocalDataStore::sketch_request`)
+    /// and go through [`Platform::submit`] or a `PlatformService`
+    /// transport. Kept as a thin wrapper over the sketched path so the two
+    /// produce bit-identical results.
+    pub fn search(
+        &self,
+        request: &SearchRequest,
+        config: &SearchConfig,
+    ) -> Result<PlatformSearchResult> {
+        let sketched = SketchedRequest::sketch(
+            &request.train,
+            &request.test,
+            &request.task,
+            request.key_columns.as_deref(),
+        )?;
+        self.search_sketched(&sketched, config)
+    }
+}
+
+impl<L: Layout> Platform<L> {
+    /// New empty **volatile** platform: state lives in memory only and is
+    /// gone on drop. Production deployments with privacy budgets should
+    /// use [`Platform::open_with`] — an in-memory ledger silently forgets
+    /// spent budget across restarts, which voids the DP guarantee.
+    pub fn new(config: PlatformConfig) -> Self {
+        Self::build(PlatformConfig { storage: None, ..config })
+            .expect("a volatile platform has nothing to recover")
+    }
+
+    /// Open a durable platform per `config.storage` (required): each shard
+    /// journals and snapshots under its own root and recovers independently
+    /// (see [`Shard`]). A sharded layout pins its shard count in the
+    /// directory — reopening with a different `config.shards` is an error
+    /// (partitions on disk cannot be re-hashed).
     pub fn open_with(config: PlatformConfig) -> Result<Self> {
-        let store = SketchStore::new();
-        let index = DiscoveryIndex::new(config.discovery.clone());
-        Self::open_with_parts(config, store, index)
+        let Some(policy) = &config.storage else {
+            return Err(CoreError::Storage("open_with requires PlatformConfig.storage".into()));
+        };
+        if L::PARTITIONED {
+            let (existing, want) = (count_shard_dirs(&policy.dir), config.shards.max(1));
+            if existing != 0 && existing != want {
+                return Err(CoreError::Storage(format!(
+                    "shard count mismatch: {} holds {existing} shard directories, config wants {want}",
+                    policy.dir.display()
+                )));
+            }
+        }
+        Self::build(config)
     }
 
-    /// [`CentralPlatform::open_with`] over caller-built store/index shells,
-    /// so a sharded deployment can hand every shard worker stores and
-    /// indexes that share one dataset/key interner and TF-IDF term space
-    /// (recovery hydrates into them through the normal registration path).
-    pub(crate) fn open_with_parts(
-        config: PlatformConfig,
-        store: SketchStore,
-        mut index: DiscoveryIndex,
-    ) -> Result<Self> {
-        let policy = config.storage.clone().ok_or_else(|| {
-            CoreError::Storage("open_with requires PlatformConfig.storage".into())
-        })?;
-        let opts = StorageOptions {
-            fsync_appends: policy.fsync_appends,
-            retain_snapshots: policy.retain_snapshots,
-            faults: policy.faults.clone(),
-        };
-        let eager_started = Instant::now();
-        let (engine, recovered) = StorageEngine::open(&policy.dir, opts)?;
-        let mut accountant = BudgetAccountant::new();
+    fn build(config: PlatformConfig) -> Result<Self> {
+        let s = if L::PARTITIONED { config.shards.max(1) } else { 1 };
+        let terms = TermSpace::new();
         let metrics = Arc::new(Metrics::new());
-
-        // Wire the hydration observer before any lazy slot registers so no
-        // fill goes uncounted.
-        {
-            let m = Arc::clone(&metrics);
-            store.set_hydration_observer(Box::new(move |background| {
-                if !background {
-                    m.hydrations_lazy.inc();
-                }
-                m.datasets_unhydrated.add(-1);
-            }));
+        // Shards recover from disjoint directories with no cross-shard
+        // ordering dependency (the shared interner and term space are
+        // concurrency-safe), so the S opens run concurrently — restart
+        // time is the slowest shard, not the sum. The caller opens shard 0
+        // itself, so a one-shard open never leaves its thread (or its
+        // allocator arena).
+        let open = |i| Self::open_shard(&config, &terms, &metrics, i);
+        let opened: Vec<Result<Shard>> = std::thread::scope(|scope| {
+            let rest: Vec<_> = (1..s).map(|i| scope.spawn(move || open(i))).collect();
+            let first = open(0);
+            let rest = rest.into_iter().map(|h| h.join().expect("shard open panicked"));
+            std::iter::once(first).chain(rest).collect()
+        });
+        let mut shards = Vec::with_capacity(s);
+        for shard in opened {
+            shards.push(Mutex::new(Arc::new(shard?)));
         }
-
-        // 1. Hydrate the snapshot skeleton. Profiles and the ledger load
-        //    eagerly — discovery and budget accounting need them before the
-        //    first search — while v2 sketch blobs stay as lazy spans that
-        //    decode on first evaluation touch, so time-to-first-search is
-        //    independent of sketch volume. v1 JSON snapshots (inline
-        //    sketches) keep materializing everything at open.
-        let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
-        let mut profiles: std::collections::BTreeMap<String, DatasetProfile> =
-            std::collections::BTreeMap::new();
-        let mut snapshot_bytes = 0u64;
-        if let Some((_, payload)) = recovered.snapshot {
-            snapshot_bytes += payload.len() as u64;
-            let snap_index = SnapshotIndex::decode(&payload)?;
-            let payload: Arc<Vec<u8>> = Arc::new(payload);
-            for slot in snap_index.datasets {
-                profiles.insert(slot.name.clone(), slot.profile);
-                match slot.sketch {
-                    SketchRegion::Span { offset, len } if policy.lazy_hydration => {
-                        let payload = Arc::clone(&payload);
-                        store
-                            .register_lazy(
-                                &slot.name,
-                                Box::new(move |_background| {
-                                    crate::durable::decode_sketch_blob(
-                                        &payload[offset..offset + len],
-                                    )
-                                    .map_err(|e| e.to_string())?
-                                    .into_sketch()
-                                    .map_err(|e| e.to_string())
-                                }),
-                            )
-                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
-                    }
-                    region => {
-                        store
-                            .register(region.materialize(&payload)?.into_sketch()?)
-                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
-                    }
-                }
-            }
-            for row in snap_index.ledger {
-                accountant.restore(&row.dataset, row.limit, row.spent);
-            }
-        }
-
-        // 2. Apply the delta chain in order: each link replaces its changed
-        //    datasets, applies its removals, and restores its ledger rows.
-        let mut delta_links = 0u64;
-        let mut chain_head = snapshot_seq.unwrap_or(0);
-        for (seq, payload) in &recovered.deltas {
-            snapshot_bytes += payload.len() as u64;
-            let delta = DeltaPayload::decode(payload)?;
-            for entry in delta.datasets {
-                profiles.insert(entry.profile.name.clone(), entry.profile);
-                store.replace(entry.sketch.into_sketch()?);
-            }
-            for name in &delta.removed {
-                profiles.remove(name);
-                let _ = store.remove(name);
-            }
-            for row in delta.ledger {
-                accountant.restore(&row.dataset, row.limit, row.spent);
-            }
-            chain_head = *seq;
-            delta_links += 1;
-        }
-
-        // 3. Replay the WAL tail on top, skipping records the delta chain
-        //    already covers. Frame decode — the dominant replay cost, each
-        //    record embeds a full upload document — fans out on the worker
-        //    pool; apply stays sequential in sequence order so budget
-        //    accounting is never double-spent.
-        let replay_started = Instant::now();
-        let tail: Vec<_> =
-            recovered.records.iter().filter(|record| record.seq > chain_head).collect();
-        let replayed_records = tail.len() as u64;
-        let decoded: Vec<Result<WalOp>> = tail
-            .par_iter()
-            .map(|record| {
-                WalOp::decode(&record.payload)
-                    .map_err(|e| CoreError::Storage(format!("record {}: {e}", record.seq)))
-            })
-            .collect();
-        for (record, op) in tail.iter().zip(decoded) {
-            Self::replay(&store, &mut profiles, &mut accountant, op?)
-                .map_err(|e| CoreError::Storage(format!("replay record {}: {e}", record.seq)))?;
-        }
-        let replay_ms = replay_started.elapsed().as_millis() as u64;
-
-        // 4. Rebuild the discovery index once, over the final profile set —
-        //    per-record register/replace/remove churn during replay is what
-        //    made the replay path ~2× the snapshot path. Ranking tie-breaks
-        //    are by name, so the name-sorted rebuild order is
-        //    search-identical to incremental registration.
-        for (_, profile) in profiles {
-            index.register(profile);
-        }
-
-        // 5. Publish hydration state and kick the background hydrator:
-        //    the platform serves traffic while the pool drains.
-        let pending = store.unhydrated();
-        metrics.snapshot_bytes.add(snapshot_bytes);
-        metrics.datasets_unhydrated.set(pending as i64);
-        if pending > 0
-            && policy.background_hydration
-            && std::env::var_os("MILEENA_NO_BG_HYDRATION").is_none()
-        {
-            let hydrator = store.clone();
-            std::thread::spawn(move || {
-                let _ = hydrator.hydrate_pending();
-            });
-        }
-
-        let durable = DurableState {
-            engine: Some(engine),
-            recovery: Some(RecoveryReport {
-                snapshot_seq,
-                replayed_records,
-                torn_tail: recovered.torn_tail,
-                invalid_snapshots: recovered.invalid_snapshots as u64,
-                snapshot_bytes,
-                delta_links,
-                eager_ms: eager_started.elapsed().as_millis() as u64,
-                replay_ms,
-                lazy_datasets: pending as u64,
-            }),
-            ..DurableState::default()
-        };
-        Ok(Self::assemble(store, index, accountant, config, durable, metrics))
-    }
-
-    /// [`CentralPlatform::new`] over caller-built store/index shells (the
-    /// volatile counterpart of [`CentralPlatform::open_with_parts`]).
-    pub(crate) fn new_with_parts(
-        config: PlatformConfig,
-        store: SketchStore,
-        index: DiscoveryIndex,
-    ) -> Self {
-        Self::assemble(
-            store,
-            index,
-            BudgetAccountant::new(),
-            config,
-            DurableState::default(),
-            Arc::new(Metrics::new()),
-        )
-    }
-
-    fn assemble(
-        store: SketchStore,
-        index: DiscoveryIndex,
-        accountant: BudgetAccountant,
-        config: PlatformConfig,
-        durable: DurableState,
-        metrics: Arc<Metrics>,
-    ) -> Self {
         let sched = SessionScheduler::new(
             config.scheduler.effective_workers(config.max_concurrent_sessions),
             config.scheduler.queue_depth,
             config.scheduler.faults.clone(),
         );
-        CentralPlatform {
-            store,
-            index: RwLock::new(index),
-            accountant: Mutex::new(accountant),
+        let platform = Platform {
+            available: (0..s).map(|_| AtomicBool::new(true)).collect(),
+            shards,
+            membership: Mutex::new(FxHashMap::default()),
             config,
             active_sessions: Arc::new(AtomicUsize::new(0)),
             session_counter: AtomicU64::new(0),
-            search_totals: Arc::new(SearchTotals::default()),
-            metrics,
+            totals: Arc::new(SearchTotals::default()),
             sched,
-            durable: Mutex::new(durable),
-        }
-    }
-
-    /// Apply one journaled mutation during recovery. Replay never journals
-    /// (the record is already on disk) and is defensive about records
-    /// whose effect is somehow already present — a re-registration is
-    /// skipped rather than double-charged.
-    fn replay(
-        store: &SketchStore,
-        profiles: &mut std::collections::BTreeMap<String, DatasetProfile>,
-        accountant: &mut BudgetAccountant,
-        op: WalOp,
-    ) -> Result<()> {
-        match op {
-            WalOp::Register { upload } => {
-                let name = upload.sketch.name.clone();
-                if store.contains(&name) {
-                    return Ok(()); // effect already present: refuse to double-apply
-                }
-                store.register(upload.sketch)?;
-                profiles.insert(name.clone(), upload.profile);
-                if let Some(budget) = upload.budget {
-                    if !accountant.contains(&name) {
-                        accountant.register_and_charge(&name, budget)?;
-                    }
-                }
-            }
-            WalOp::Replace { upload } => {
-                let name = upload.sketch.name.clone();
-                store.replace(upload.sketch);
-                profiles.insert(name.clone(), upload.profile);
-                if let Some(budget) = upload.budget {
-                    accountant.top_up_and_charge(&name, budget)?;
-                }
-            }
-            WalOp::Remove { dataset } => {
-                let _ = store.remove(&dataset);
-                profiles.remove(&dataset);
-                // The ledger entry stays: spent budget is spent forever.
-            }
-            WalOp::Grant { dataset, budget } => {
-                accountant.grant(&dataset, budget)?;
-            }
-            WalOp::Charge { dataset, cost } => {
-                accountant.charge(&dataset, cost)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Journal one mutation (no-op on volatile platforms). Called with the
-    /// durable lock held, *before* the in-memory apply: an acknowledged
-    /// mutation is on disk first.
-    fn journal(&self, state: &mut DurableState, op: WalOpRef<'_>) -> Result<()> {
-        if state.engine.is_some() {
-            let payload = op.encode()?;
-            state.engine.as_mut().expect("checked above").append(&payload)?;
-            state.note_mutation(&op);
-            self.metrics.wal_appends.inc();
-        }
-        Ok(())
-    }
-
-    /// Run the auto-checkpoint policy after a successful mutation. A
-    /// failing checkpoint never fails the mutation (the WAL already holds
-    /// it); the error is surfaced through `stats()` instead.
-    fn maybe_auto_checkpoint(&self, state: &mut DurableState) {
-        let policy = match &self.config.storage {
-            Some(policy) if policy.checkpoint_every > 0 => policy,
-            _ => return,
+            supervisors: Arc::new(ShardSupervisors::new(s, Arc::clone(&metrics))),
+            metrics,
+            terms,
+            layout: PhantomData,
         };
-        let due = state
-            .engine
-            .as_ref()
-            .is_some_and(|e| e.records_since_checkpoint() >= policy.checkpoint_every);
-        if !due {
-            return;
+        for i in 0..s {
+            platform.adopt_membership(i);
         }
-        // Differential checkpoint when a base exists and the chain has
-        // room; otherwise (first checkpoint, chain at cap, deltas off) a
-        // full snapshot resets the chain. A failed delta — injected fault,
-        // or state the dirty sets can't serialize — falls back to a full
-        // snapshot rather than leaving the WAL unbounded.
-        let use_delta = policy.delta_checkpoints
-            && state.engine.as_ref().is_some_and(|e| {
-                e.snapshot_seq().is_some() && e.delta_chain_len() < policy.max_delta_chain
-            });
-        let result = if use_delta {
-            self.checkpoint_delta_locked(state).or_else(|_| self.checkpoint_locked(state))
-        } else {
-            self.checkpoint_locked(state)
-        };
-        state.last_checkpoint_error = result.err().map(|e| e.to_string());
+        Ok(platform)
     }
 
-    /// Serialize the full platform state and checkpoint the engine at the
-    /// current sequence. Called with the durable lock held.
-    fn checkpoint_locked(&self, state: &mut DurableState) -> Result<CheckpointReceipt> {
-        if state.engine.is_none() {
-            return Err(CoreError::Storage("platform has no durable storage configured".into()));
-        }
-        let index = self.index.read();
-        let sketches = self.store.all()?;
-        let mut datasets = Vec::with_capacity(sketches.len());
-        for sketch in &sketches {
-            let profile = index.profile(&sketch.name).ok_or_else(|| {
-                CoreError::Storage(format!("dataset {} has no indexed profile", sketch.name))
-            })?;
-            datasets.push((sketch.as_ref(), profile));
-        }
-        let ledger = self.accountant.lock().entries();
-        let payload = PlatformSnapshotRef { datasets, ledger: &ledger }.encode_binary()?;
-        let seq = state.engine.as_mut().expect("checked above").checkpoint(&payload)?;
-        state.clear_dirty();
-        self.metrics.snapshots_written.inc();
-        Ok(CheckpointReceipt { seq, datasets: sketches.len(), snapshot_bytes: payload.len() })
-    }
-
-    /// Serialize only what changed since the chain head and append a delta
-    /// link. Called with the durable lock held; the caller falls back to a
-    /// full snapshot on error.
-    fn checkpoint_delta_locked(&self, state: &mut DurableState) -> Result<CheckpointReceipt> {
-        if state.engine.is_none() {
-            return Err(CoreError::Storage("platform has no durable storage configured".into()));
-        }
-        let index = self.index.read();
-        let mut sketches = Vec::with_capacity(state.dirty_datasets.len());
-        for name in &state.dirty_datasets {
-            sketches.push(self.store.get(name)?); // hydrates on demand
-        }
-        let mut datasets = Vec::with_capacity(sketches.len());
-        for (name, sketch) in state.dirty_datasets.iter().zip(&sketches) {
-            let profile = index.profile(name).ok_or_else(|| {
-                CoreError::Storage(format!("dataset {name} has no indexed profile"))
-            })?;
-            datasets.push((sketch.as_ref(), profile));
-        }
-        let removed: Vec<String> = state.removed_datasets.iter().cloned().collect();
-        let ledger: Vec<_> = self
-            .accountant
-            .lock()
-            .entries()
-            .into_iter()
-            .filter(|(name, _, _)| state.dirty_ledger.contains(name))
-            .collect();
-        let payload = DeltaPayloadRef { datasets, removed: &removed, ledger: &ledger }.encode()?;
-        let seq = state.engine.as_mut().expect("checked above").checkpoint_delta(&payload)?;
-        state.clear_dirty();
-        self.metrics.snapshots_written.inc();
-        Ok(CheckpointReceipt { seq, datasets: sketches.len(), snapshot_bytes: payload.len() })
-    }
-
-    /// Checkpoint now: write a full-state snapshot, rotate the log, and
-    /// purge segments/snapshots past the retention horizon. Errors on
-    /// volatile platforms.
-    pub fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        let mut state = self.durable.lock();
-        let receipt = self.checkpoint_locked(&mut state)?;
-        state.last_checkpoint_error = None;
-        Ok(receipt)
-    }
-
-    /// Platform statistics: corpus size, live sessions, and — for durable
-    /// platforms — storage-engine state plus what the last recovery found.
-    pub fn stats(&self) -> Result<PlatformStats> {
-        let state = self.durable.lock();
-        let storage = match &state.engine {
-            None => None,
-            Some(engine) => {
-                let s = engine.stats()?;
-                Some(StorageReport {
-                    dir: engine.dir().display().to_string(),
-                    last_seq: s.last_seq,
-                    snapshot_seq: s.snapshot_seq,
-                    records_since_checkpoint: s.records_since_checkpoint,
-                    wal_bytes: s.wal_bytes,
-                    segments: s.segments,
-                    snapshots: s.snapshots,
-                    recovery: state.recovery.clone(),
-                    last_checkpoint_error: state.last_checkpoint_error.clone(),
-                    append_time: s.append_time,
-                    checkpoint_time: s.checkpoint_time,
-                })
+    /// Open shard `i` at its root: `storage.dir` itself for the
+    /// single-shard layout, `storage.dir/shard-<i>` for the partitioned one.
+    fn open_shard(
+        config: &PlatformConfig,
+        terms: &TermSpace,
+        metrics: &Arc<Metrics>,
+        i: usize,
+    ) -> Result<Shard> {
+        let policy = config.storage.clone().map(|mut policy| {
+            if L::PARTITIONED {
+                policy.dir = policy.dir.join(format!("shard-{i}"));
             }
-        };
-        let discovery = {
-            let d = self.index.read().stats();
-            DiscoveryReport {
-                datasets: d.datasets,
-                key_columns: d.key_columns,
-                lsh_buckets: d.lsh_buckets,
-                schema_buckets: d.schema_buckets,
-                posting_terms: d.posting_terms,
-            }
-        };
-        Ok(PlatformStats {
-            datasets: self.num_datasets(),
-            active_sessions: self.active_sessions(),
-            search_evaluations: self.search_totals.evaluations.load(Ordering::Relaxed),
-            search_bound_skips: self.search_totals.bound_skips.load(Ordering::Relaxed),
-            search_candidates_truncated: self
-                .search_totals
-                .candidates_truncated
-                .load(Ordering::Relaxed),
-            discovery,
-            scheduler: self.sched.report(),
-            storage,
-            shards: None,
-        })
+            policy
+        });
+        Shard::open(config.discovery.clone(), terms.clone(), policy, Arc::clone(metrics))
     }
 
-    /// What the last `open` recovered (`None` on volatile platforms).
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.durable.lock().recovery.clone()
+    /// Route everything shard `i` holds to it: whatever its store
+    /// recovered lives there, and whatever its ledger remembers —
+    /// including removed datasets — stays routed there so the
+    /// anti-laundering rejection comes from the shard holding the spend.
+    fn adopt_membership(&self, i: usize) {
+        let shard = self.shard(i);
+        let mut membership = self.membership.lock();
+        // names() never hydrates — the rebuild must not defeat lazy sketch
+        // hydration by touching every blob.
+        for name in shard.store().names().into_iter().chain(shard.ledger_datasets()) {
+            membership.insert(name, i);
+        }
+    }
+
+    /// The current shard behind slot `i` (recovery may swap it).
+    fn shard(&self, i: usize) -> Arc<Shard> {
+        Arc::clone(&self.shards[i].lock())
+    }
+
+    /// The shards (read access for tests/inspection).
+    pub fn shard_platforms(&self) -> Vec<Arc<Shard>> {
+        (0..self.shards.len()).map(|i| self.shard(i)).collect()
     }
 
     /// The platform's live metrics registry (the TCP server records
@@ -655,158 +546,200 @@ impl CentralPlatform {
 
     /// Snapshot the full metrics state: the registry, plus the private
     /// histograms subsystems keep for their own reports — scheduler
-    /// queue-wait/run-time and storage I/O — joined by name.
+    /// queue-wait/run-time and every shard's storage I/O — joined by name.
     pub fn metrics(&self) -> MetricsReport {
+        let shards = self.shard_platforms();
+        // A level, read from its source of truth at snapshot time.
+        let unhydrated: usize = shards.iter().map(|s| s.store().unhydrated()).sum();
+        self.metrics.datasets_unhydrated.set(unhydrated as i64);
         let mut report = self.metrics.report();
         let (queue_wait, run_time) = self.sched.histograms();
         report.push_histogram("search_queue_wait_ns", queue_wait.report());
         report.push_histogram("scheduler_run_ns", run_time.report());
-        let state = self.durable.lock();
-        if let Some(engine) = &state.engine {
-            let (append, checkpoint) = engine.io_histograms();
-            report.push_histogram("wal_append_ns", append.report());
-            report.push_histogram("snapshot_write_ns", checkpoint.report());
+        for shard in &shards {
+            shard.push_io_histograms(&mut report);
         }
         report
     }
 
-    /// Register a provider upload: sketches into the store, profile into
-    /// the discovery index, and — for private uploads — the consumed
-    /// budget into the accountant (rejecting double registration).
+    /// The shard owning `name`: the membership map when the name is known,
+    /// otherwise a first-seen placement by hashing the interned dataset id
+    /// (recorded by the mutation that follows, never by the lookup itself).
+    fn place(&self, name: &str) -> usize {
+        if let Some(&shard) = self.membership.lock().get(name) {
+            return shard;
+        }
+        let id = self.shard(0).store().dataset_interner().intern(name);
+        let mixed = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((mixed >> 32) as usize) % self.shards.len()
+    }
+
+    /// Operator-down shards fail outright; breaker-quarantined shards get
+    /// one supervised recovery attempt before the typed rejection.
+    fn ensure_available(&self, shard: usize) -> Result<()> {
+        if !self.available[shard].load(Ordering::SeqCst) {
+            return Err(CoreError::ShardUnavailable { shard });
+        }
+        if self.supervisors.state(shard) == ShardHealthState::Quarantined {
+            self.recover_shard(shard).map_err(|_| CoreError::ShardUnavailable { shard })?;
+        }
+        match self.supervisors.state(shard) {
+            ShardHealthState::Quarantined | ShardHealthState::Recovering => {
+                Err(CoreError::ShardUnavailable { shard })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The available shard that owns `name`, for a mutation to run on.
+    fn owner(&self, name: &str) -> Result<(usize, Arc<Shard>)> {
+        let shard = self.place(name);
+        self.ensure_available(shard)?;
+        Ok((shard, self.shard(shard)))
+    }
+
+    /// Mark a shard available/unavailable (operator control; the chaos and
+    /// failure tests drive it). Mutations owned by an unavailable shard and
+    /// all searches fail with [`CoreError::ShardUnavailable`]. Unlike a
+    /// breaker quarantine, an operator down is never auto-recovered.
+    pub fn set_shard_available(&self, shard: usize, up: bool) {
+        self.available[shard].store(up, Ordering::SeqCst);
+    }
+
+    /// Per-shard breaker health (state, failure runs, strike and recovery
+    /// counters) — the same snapshot `stats()` ships in [`ShardReport`].
+    pub fn shard_health(&self) -> Vec<ShardHealth> {
+        self.supervisors.health()
+    }
+
+    /// Attempt supervised recovery of a breaker-quarantined shard; no-op
+    /// when the shard is healthy or another thread holds the recovery.
     ///
-    /// This is one arm of the platform's single journaled mutation path
-    /// (register / replace / remove / charge all follow it): validate
-    /// under the mutation lock, journal the op, then apply — so a doomed
-    /// upload is rejected before any mutation or journal entry, and an
-    /// applied mutation is always on disk first. A failed upload therefore
-    /// never leaks spent budget and never leaves a stray store entry or
-    /// index profile behind.
+    /// Durable deployments rebuild the shard from its own WAL directory
+    /// through the standard recovery path — snapshot hydrate, journal
+    /// replay, index rebuild — and swap it into the slot, so the recovered
+    /// shard is bit-identical to the one that crashed. Volatile deployments
+    /// half-open the breaker over the still-resident shard (the breaker
+    /// opened on call faults; the in-memory state never went away).
+    pub fn recover_shard(&self, shard: usize) -> Result<()> {
+        if !self.supervisors.begin_recovery(shard) {
+            return Ok(());
+        }
+        let result = self.reopen_shard(shard);
+        self.supervisors.finish_recovery(shard, result.is_ok());
+        result
+    }
+
+    fn reopen_shard(&self, shard: usize) -> Result<()> {
+        if self.config.storage.is_some() {
+            let reopened = Self::open_shard(&self.config, &self.terms, &self.metrics, shard)?;
+            *self.shards[shard].lock() = Arc::new(reopened);
+            self.adopt_membership(shard);
+        }
+        Ok(())
+    }
+
+    /// Register a provider upload on the owning shard (the shard's own
+    /// journaled validate → journal → apply path; see [`Shard`]).
     pub fn register(&self, upload: ProviderUpload) -> Result<()> {
-        let mut state = self.durable.lock();
         let name = upload.sketch.name.clone();
-        // Validate: name free, budget unregistered.
-        if self.store.contains(&name) {
-            return Err(SketchError::DuplicateDataset(name).into());
-        }
-        if upload.budget.is_some() && self.accountant.lock().spent(&name).is_some() {
-            return Err(CoreError::Privacy(format!("dataset {name} already has a budget")));
-        }
-        // Journal, then apply.
-        self.journal(&mut state, WalOpRef::Register { upload: &upload })?;
-        let budget = upload.budget;
-        self.store.register(upload.sketch)?;
-        self.index.write().register(upload.profile);
-        if let Some(budget) = budget {
-            // Infallible after the pre-checks above: the name was free and
-            // the ledger had no entry, so registration cannot conflict and
-            // charging a fresh limit by its own amount cannot exhaust. A
-            // rollback here would be worse than a panic — the op is
-            // already journaled, so undoing the in-memory apply would make
-            // crash recovery resurrect state the caller was told failed.
-            self.accountant
-                .lock()
-                .register_and_charge(&name, budget)
-                .expect("pre-validated: name free and budget unregistered");
-        }
-        self.maybe_auto_checkpoint(&mut state);
+        let (i, shard) = self.owner(&name)?;
+        shard.register(upload)?;
+        self.membership.lock().insert(name, i);
         Ok(())
     }
 
-    /// Replace a dataset's sketches and profile (provider re-upload after
-    /// local re-transformation), or insert them when the name is new.
-    ///
-    /// Flows through the same journaled mutation path as `register`. A
-    /// budget on the upload *adds* to the dataset's cumulative privacy
-    /// loss under sequential composition — each new privatized release
-    /// spends fresh budget; replacement never refunds the old release.
+    /// Replace a dataset's sketches and profile on its owning shard
+    /// (provider re-upload after local re-transformation), or insert them
+    /// when the name is new. A budget on the upload *adds* to the
+    /// dataset's cumulative privacy loss — replacement never refunds.
     pub fn replace(&self, upload: ProviderUpload) -> Result<()> {
-        let mut state = self.durable.lock();
         let name = upload.sketch.name.clone();
-        self.journal(&mut state, WalOpRef::Replace { upload: &upload })?;
-        let budget = upload.budget;
-        self.store.replace(upload.sketch);
-        self.index.write().replace(upload.profile);
-        if let Some(budget) = budget {
-            self.accountant
-                .lock()
-                .top_up_and_charge(&name, budget)
-                .expect("top_up_and_charge has no failure mode for fresh grants");
-        }
-        self.maybe_auto_checkpoint(&mut state);
+        let (i, shard) = self.owner(&name)?;
+        shard.replace(upload)?;
+        self.membership.lock().insert(name, i);
         Ok(())
     }
 
-    /// Remove a dataset's sketches and profile from the corpus.
-    ///
-    /// Flows through the same journaled mutation path as `register`. The
-    /// budget ledger entry **survives removal**: the privatized release
-    /// already happened, so its (ε, δ) stays spent — re-registering the
-    /// same name with a fresh budget is still rejected, which is what
-    /// keeps remove/re-upload cycles from laundering budget.
+    /// Remove a dataset from its owning shard. The budget ledger entry —
+    /// and with it the membership entry — **survives removal**: spent
+    /// budget is spent forever, and re-registration must route back to the
+    /// shard holding the spend.
     pub fn remove(&self, name: &str) -> Result<()> {
-        let mut state = self.durable.lock();
-        if !self.store.contains(name) {
-            return Err(SketchError::DatasetNotFound(name.to_string()).into());
-        }
-        self.journal(&mut state, WalOpRef::Remove { dataset: name })?;
-        self.store.remove(name)?;
-        self.index.write().remove(name);
-        self.maybe_auto_checkpoint(&mut state);
-        Ok(())
+        self.owner(name)?.1.remove(name)
     }
 
     /// Grant budget headroom to a dataset without charging it — the
     /// APM-style flow, where per-query releases then draw it down via
-    /// [`CentralPlatform::charge_budget`]. Registers the ledger entry when
-    /// the dataset is unknown, extends the limit otherwise. Journaled like
-    /// every other ledger mutation.
+    /// [`Platform::charge_budget`]. Journaled on the owning shard's ledger.
     pub fn grant_budget(&self, dataset: &str, budget: PrivacyBudget) -> Result<()> {
-        let mut state = self.durable.lock();
-        self.journal(&mut state, WalOpRef::Grant { dataset, budget })?;
-        self.accountant.lock().grant(dataset, budget)?;
-        self.maybe_auto_checkpoint(&mut state);
+        let (i, shard) = self.owner(dataset)?;
+        shard.grant_budget(dataset, budget)?;
+        self.membership.lock().insert(dataset.to_string(), i);
         Ok(())
     }
 
-    /// Charge an additional release against a dataset's budget (APM-style
-    /// per-query accounting). Journaled before it is applied, so a charge
-    /// that was acknowledged is still reflected in `remaining()` after a
-    /// crash — the property that makes the DP guarantee hold across
-    /// restarts.
+    /// Charge an additional release against a dataset's budget on the
+    /// owning shard's ledger (APM-style per-query accounting; journaled
+    /// before it is applied, so the DP guarantee holds across restarts).
     pub fn charge_budget(&self, dataset: &str, cost: PrivacyBudget) -> Result<()> {
-        let mut state = self.durable.lock();
-        let mut accountant = self.accountant.lock();
-        accountant.check_charge(dataset, cost)?;
-        self.journal(&mut state, WalOpRef::Charge { dataset, cost })?;
-        accountant.charge(dataset, cost).expect("validated by check_charge");
-        drop(accountant);
-        self.maybe_auto_checkpoint(&mut state);
-        Ok(())
+        self.owner(dataset)?.1.charge_budget(dataset, cost)
     }
 
-    /// Number of registered datasets.
+    /// Budget spent by a registered private dataset (`None` = unknown
+    /// dataset or non-private upload), answered by its owning shard.
+    pub fn budget_spent(&self, dataset: &str) -> Option<PrivacyBudget> {
+        self.shard(self.place(dataset)).budget_spent(dataset)
+    }
+
+    /// Budget remaining for a registered private dataset.
+    pub fn budget_remaining(&self, dataset: &str) -> Result<PrivacyBudget> {
+        self.shard(self.place(dataset)).budget_remaining(dataset)
+    }
+
+    /// Total registered datasets across all shards.
     pub fn num_datasets(&self) -> usize {
-        self.store.len()
+        self.shard_platforms().iter().map(|s| s.num_datasets()).sum()
     }
 
-    /// The sketch store (read access for benches/inspection).
-    pub fn store(&self) -> &SketchStore {
-        &self.store
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// The discovery index (the sharded coordinator enumerates per-shard
-    /// candidates against it under its own read lock).
-    pub(crate) fn index(&self) -> &RwLock<DiscoveryIndex> {
-        &self.index
+    /// What the last `open` recovered, merged across shards: counters sum;
+    /// the phase timings take the slowest shard, since the S opens ran
+    /// concurrently. `None` on volatile platforms.
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        let mut merged: Option<RecoveryReport> = None;
+        for r in self.shard_platforms().iter().filter_map(|s| s.recovery_report()) {
+            let m = merged.get_or_insert(RecoveryReport {
+                snapshot_seq: None,
+                replayed_records: 0,
+                torn_tail: false,
+                invalid_snapshots: 0,
+                snapshot_bytes: 0,
+                delta_links: 0,
+                eager_ms: 0,
+                replay_ms: 0,
+                lazy_datasets: 0,
+            });
+            m.snapshot_seq = m.snapshot_seq.max(r.snapshot_seq);
+            m.replayed_records += r.replayed_records;
+            m.torn_tail |= r.torn_tail;
+            m.invalid_snapshots += r.invalid_snapshots;
+            m.snapshot_bytes += r.snapshot_bytes;
+            m.delta_links += r.delta_links;
+            m.eager_ms = m.eager_ms.max(r.eager_ms);
+            m.replay_ms = m.replay_ms.max(r.replay_ms);
+            m.lazy_datasets += r.lazy_datasets;
+        }
+        merged
     }
 
-    /// Dataset names with a budget-ledger entry, including entries whose
-    /// dataset has since been removed (spent budget is spent forever). The
-    /// sharded coordinator rebuilds shard membership from these at open so
-    /// a remove/re-register cycle still routes to the shard holding the
-    /// spend.
-    pub(crate) fn ledger_datasets(&self) -> Vec<String> {
-        self.accountant.lock().entries().into_iter().map(|(name, _, _)| name).collect()
+    /// The shard currently owning a dataset (`None` = never placed).
+    pub fn shard_of(&self, name: &str) -> Option<usize> {
+        self.membership.lock().get(name).copied()
     }
 
     /// The platform configuration.
@@ -824,15 +757,100 @@ impl CentralPlatform {
         self.sched.queued()
     }
 
-    /// Budget spent by a registered private dataset (`None` = unknown
-    /// dataset or non-private upload).
-    pub fn budget_spent(&self, dataset: &str) -> Option<PrivacyBudget> {
-        self.accountant.lock().spent(dataset)
+    /// Checkpoint now: every shard writes a full-state snapshot, rotates
+    /// its log, and purges segments/snapshots past the retention horizon.
+    /// Returns the aggregate receipt (max sequence, summed datasets and
+    /// snapshot bytes). Errors on volatile platforms.
+    pub fn checkpoint(&self) -> Result<CheckpointReceipt> {
+        let mut receipt = CheckpointReceipt { seq: 0, datasets: 0, snapshot_bytes: 0 };
+        for shard in self.shard_platforms() {
+            let r = shard.checkpoint()?;
+            receipt.seq = receipt.seq.max(r.seq);
+            receipt.datasets += r.datasets;
+            receipt.snapshot_bytes += r.snapshot_bytes;
+        }
+        Ok(receipt)
     }
 
-    /// Budget remaining for a registered private dataset.
-    pub fn budget_remaining(&self, dataset: &str) -> Result<PrivacyBudget> {
-        Ok(self.accountant.lock().remaining(dataset)?)
+    /// Platform statistics: corpus size, live sessions, search totals, and
+    /// — per layout — the single shard's storage-engine state
+    /// (`storage`) or the scatter-gather and supervision counters
+    /// (`shards`).
+    pub fn stats(&self) -> Result<PlatformStats> {
+        let shards = self.shard_platforms();
+        let mut discovery = DiscoveryReport {
+            datasets: 0,
+            key_columns: 0,
+            lsh_buckets: 0,
+            schema_buckets: 0,
+            posting_terms: 0,
+        };
+        for shard in &shards {
+            let d = shard.discovery_report();
+            discovery.datasets += d.datasets;
+            discovery.key_columns += d.key_columns;
+            discovery.lsh_buckets += d.lsh_buckets;
+            discovery.schema_buckets += d.schema_buckets;
+            // Postings live in the shared corpus-global term space: every
+            // shard reports the same census, so take it, don't sum it.
+            discovery.posting_terms = discovery.posting_terms.max(d.posting_terms);
+        }
+        let datasets_per_shard: Vec<usize> = shards.iter().map(|s| s.num_datasets()).collect();
+        let datasets = datasets_per_shard.iter().sum();
+        let total = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (storage, shard_report) = if L::PARTITIONED {
+            let unavailable =
+                (0..shards.len()).filter(|&i| !self.available[i].load(Ordering::SeqCst)).collect();
+            let report = ShardReport {
+                shards: shards.len(),
+                datasets_per_shard,
+                scatter_rounds: total(&self.totals.scatter_rounds),
+                gather_rounds: total(&self.totals.gather_rounds),
+                cross_shard_bound_skips: total(&self.totals.cross_shard_skips),
+                gather: self.metrics.shard_gather.summary(),
+                unavailable,
+                health: self.supervisors.health(),
+            };
+            (None, Some(report))
+        } else {
+            (shards[0].storage_report()?, None)
+        };
+        Ok(PlatformStats {
+            datasets,
+            active_sessions: self.active_sessions(),
+            search_evaluations: total(&self.totals.evaluations),
+            search_bound_skips: total(&self.totals.bound_skips),
+            search_candidates_truncated: total(&self.totals.candidates_truncated),
+            discovery,
+            scheduler: self.sched.report(),
+            storage,
+            shards: shard_report,
+        })
+    }
+
+    /// The shard-call interceptor: rolls the chaos plan's
+    /// [`FaultSite::ShardCall`] site once per shard call and records the
+    /// outcome against the shard's breaker — an `Error` is a failed call,
+    /// a `Panic` is a crash (straight to quarantine), a clean roll closes
+    /// the shard's failure run. `None` when no fault plan is armed.
+    fn shard_call_interceptor(&self) -> Option<ShardCallInterceptor> {
+        let plan = self.config.scheduler.faults.clone()?;
+        let supervisors = Arc::clone(&self.supervisors);
+        Some(Arc::new(move |shard: usize| match plan.decide(FaultSite::ShardCall) {
+            None => {
+                supervisors.record_success(shard);
+                None
+            }
+            Some(FaultKind::Latency(d)) => Some(ShardCallFault::Latency(d)),
+            Some(FaultKind::Error) => {
+                supervisors.record_failure(shard);
+                Some(ShardCallFault::Fail)
+            }
+            Some(FaultKind::Panic) => {
+                supervisors.quarantine(shard);
+                Some(ShardCallFault::Fail)
+            }
+        }))
     }
 
     /// Submit a sketched search request: returns a [`SearchSession`] whose
@@ -846,7 +864,7 @@ impl CentralPlatform {
         self.submit_with_control(request, config, SearchControl::new())
     }
 
-    /// [`CentralPlatform::submit`] with caller-supplied run control, for
+    /// [`Platform::submit`] with caller-supplied run control, for
     /// requesters that want to share a cancellation flag across sessions
     /// or impose their own deadline.
     ///
@@ -864,64 +882,156 @@ impl CentralPlatform {
         if self.config.max_concurrent_sessions == 0 {
             return Err(CoreError::Capacity(0));
         }
-        let submit_start = Instant::now();
-        self.metrics.searches_started.inc();
         self.active_sessions.fetch_add(1, Ordering::SeqCst);
         let guard = SessionGuard(Arc::clone(&self.active_sessions));
-
-        let cfg = config.unwrap_or_else(|| self.config.default_search.clone());
         if let Some(wall) = self.config.max_session_wall {
             control.set_deadline(Instant::now() + wall);
         }
-        // Build everything the worker needs up front, so submission errors
-        // surface synchronously and the job owns a consistent snapshot.
-        let state = build_sketched_state(&request, &cfg)?;
-        let prepare = submit_start.elapsed();
-        self.metrics.search_prepare.record_duration(prepare);
-        let enumerate_start = Instant::now();
-        let corpus = self.store.frozen();
-        let candidates = {
-            let index = self.index.read();
-            enumerate_candidates(&index, &corpus, &request.profile, &cfg.limits)
-        };
-        let enumerate = enumerate_start.elapsed();
-        self.metrics.search_enumerate.record_duration(enumerate);
-        let id = self.session_counter.fetch_add(1, Ordering::SeqCst) + 1;
-        let target = request.task.target.clone();
-        let requester: Arc<str> = Arc::from(request.requester.as_deref().unwrap_or(""));
-
+        let cfg = config.unwrap_or_else(|| self.config.default_search.clone());
         let (event_tx, event_rx) = mpsc::channel();
         let (result_tx, result_rx) = mpsc::sync_channel(1);
-        let worker_control = control.clone();
-        let totals = Arc::clone(&self.search_totals);
-        let metrics = Arc::clone(&self.metrics);
-        let spans_base = SpanBreakdown {
-            prepare_ns: duration_ns(prepare),
-            enumerate_ns: duration_ns(enumerate),
-            ..SpanBreakdown::default()
-        };
-        let exec = Box::new(move |mode: ExecMode| {
-            let mut observer = move |ev: SearchEvent| {
-                let _ = event_tx.send(ev);
+        let observer = Box::new(move |ev: SearchEvent| {
+            let _ = event_tx.send(ev);
+        });
+        let exec = self.prepare_search(&request, cfg, control.clone(), observer)?;
+        let id = self.session_counter.fetch_add(1, Ordering::SeqCst) + 1;
+        self.sched.admit(SessionJob {
+            requester: Arc::from(request.requester.as_deref().unwrap_or("")),
+            control: control.clone(),
+            guard,
+            result_tx,
+            enqueued: Instant::now(),
+            exec: Box::new(move |mode| exec(mode).map(|(_, reply)| reply)),
+        })?;
+        Ok(SearchSession::new(id, control, event_rx, result_rx))
+    }
+
+    /// Serve a sketched request synchronously on the caller's thread,
+    /// returning the full outcome + model: the same prepared search a
+    /// session runs, executed inline. Pure post-processing of the uploaded
+    /// sketches — no budget is consumed here, regardless of how many
+    /// requests arrive (the FPM guarantee).
+    pub fn search_sketched(
+        &self,
+        request: &SketchedRequest,
+        config: &SearchConfig,
+    ) -> Result<PlatformSearchResult> {
+        let exec =
+            self.prepare_search(request, config.clone(), SearchControl::new(), Box::new(|_| {}))?;
+        exec(ExecMode::Run { queue_wait: Duration::ZERO }).map(|(result, _)| result)
+    }
+
+    /// Build everything a search needs up front — so submission errors
+    /// surface synchronously and the session owns a consistent corpus
+    /// snapshot — and return the session body.
+    fn prepare_search(
+        &self,
+        request: &SketchedRequest,
+        cfg: SearchConfig,
+        control: SearchControl,
+        mut observer: Box<dyn FnMut(SearchEvent) + Send>,
+    ) -> Result<SearchExec> {
+        let submit_start = Instant::now();
+        // A search wants every shard: a partial scatter silently changes
+        // selections, so by default any down shard fails the submit
+        // outright (after one supervised recovery attempt for
+        // breaker-quarantined shards). With `degraded_ok` the search
+        // instead proceeds over the live subset and the reply is labeled.
+        let mut missing: Vec<u32> = Vec::new();
+        for i in 0..self.shards.len() {
+            if let Err(down) = self.ensure_available(i) {
+                if !cfg.degraded_ok {
+                    return Err(down);
+                }
+                missing.push(i as u32);
+            }
+        }
+        if missing.len() == self.shards.len() {
+            // Nothing left to search over; degraded cannot mean "empty".
+            return Err(CoreError::ShardUnavailable { shard: missing[0] as usize });
+        }
+        self.metrics.searches_started.inc();
+        let state = build_sketched_state(request, &cfg)?;
+        let prepare = submit_start.elapsed();
+        self.metrics.search_prepare.record_duration(prepare);
+        // Scatter enumeration: one frozen corpus snapshot per shard, each
+        // enumerated under its index read lock, merged into one global
+        // candidate order that does not depend on the partitioning.
+        let enumerate_start = Instant::now();
+        let mut stores = Vec::with_capacity(self.shards.len());
+        let mut sets = Vec::with_capacity(self.shards.len());
+        for i in 0..self.shards.len() {
+            let shard = self.shard(i);
+            let corpus = shard.store().frozen();
+            // A missing shard contributes no candidates but keeps its slot
+            // (partition alignment): its empty slice is never visited.
+            let set = if missing.contains(&(i as u32)) {
+                CandidateSet::default()
+            } else {
+                let index = shard.index().read();
+                enumerate_candidates(&index, &corpus, &request.profile, &cfg.limits)
             };
-            match mode {
-                ExecMode::Run { queue_wait } => GreedySearch::new(cfg.clone())
-                    .run_observed(state, candidates, &corpus, &worker_control, &mut observer)
-                    .map_err(CoreError::from)
-                    .and_then(|outcome| {
-                        totals.record(&outcome);
-                        let fit_start = Instant::now();
-                        let model = fit_final_model(&outcome, &target, cfg.lambda)?;
-                        let fit = fit_start.elapsed();
-                        let mut reply = SearchReply::from_outcome(&outcome, &model);
-                        reply.spans.prepare_ns = spans_base.prepare_ns;
-                        reply.spans.enumerate_ns = spans_base.enumerate_ns;
-                        reply.spans.queue_wait_ns = duration_ns(queue_wait);
-                        reply.spans.fit_ns = duration_ns(fit);
-                        reply.spans.total_ns = duration_ns(submit_start.elapsed());
-                        record_search_metrics(&metrics, &outcome, &reply);
-                        Ok(reply)
-                    }),
+            stores.push(corpus);
+            sets.push(set);
+        }
+        let names = Arc::clone(self.shard(0).store().dataset_interner());
+        let (assignments, truncated) = merge_shard_candidates(sets, &cfg.limits, &names);
+        let enumerate = enumerate_start.elapsed();
+        self.metrics.search_enumerate.record_duration(enumerate);
+
+        let target = request.task.target.clone();
+        let totals = Arc::clone(&self.totals);
+        let metrics = Arc::clone(&self.metrics);
+        let supervisors = Arc::clone(&self.supervisors);
+        let shard_count = self.shards.len();
+        let interceptor = self.shard_call_interceptor();
+        Ok(Box::new(move |mode: ExecMode| {
+            let (outcome, stats, queue_wait) = match mode {
+                ExecMode::Run { queue_wait } => {
+                    let parts = assignments
+                        .into_iter()
+                        .zip(&stores)
+                        .enumerate()
+                        .map(|(shard, ((candidates, positions), store))| ShardPartition {
+                            shard,
+                            candidates,
+                            positions,
+                            store,
+                        })
+                        .collect();
+                    let mut search = ScatterSearch::new(cfg.clone());
+                    if let Some(hook) = interceptor {
+                        search = search.with_interceptor(hook);
+                    }
+                    let (outcome, stats) = search
+                        .run_observed(state, parts, truncated, &names, &control, &mut observer)
+                        .map_err(|e| match e {
+                            // A shard failure without degraded_ok is the
+                            // same typed rejection a down shard gets at
+                            // submit time.
+                            SearchError::ShardFailed { shard } => {
+                                CoreError::ShardUnavailable { shard }
+                            }
+                            other => CoreError::from(other),
+                        })?;
+                    for &ns in &stats.gather_ns {
+                        metrics.shard_gather.record(ns);
+                    }
+                    // Feed the breakers: deadline strikes count against a
+                    // shard, clean participation closes its failure run.
+                    for &s in &stats.timeouts {
+                        supervisors.record_timeout(s);
+                    }
+                    for i in 0..shard_count {
+                        if !missing.contains(&(i as u32))
+                            && !stats.dead_shards.contains(&i)
+                            && !stats.timeouts.contains(&i)
+                        {
+                            supervisors.record_success(i);
+                        }
+                    }
+                    (outcome, stats, queue_wait)
+                }
                 ExecMode::Immediate(reason) => {
                     // The session never runs a round (cancelled or shed
                     // while queued): synthesize the zero-step reply the
@@ -942,97 +1052,116 @@ impl CentralPlatform {
                         steps: Vec::new(),
                         evaluations: 0,
                         bound_skips: 0,
-                        candidates_truncated: 0,
+                        candidates_truncated: truncated,
                         round_eval_ns: Vec::new(),
                         elapsed: Duration::ZERO,
                         stop_reason: reason,
                         state,
                     };
-                    let model = fit_final_model(&outcome, &target, cfg.lambda)?;
-                    let mut reply = SearchReply::from_outcome(&outcome, &model);
-                    reply.spans.prepare_ns = spans_base.prepare_ns;
-                    reply.spans.enumerate_ns = spans_base.enumerate_ns;
-                    reply.spans.total_ns = duration_ns(submit_start.elapsed());
-                    record_search_metrics(&metrics, &outcome, &reply);
-                    Ok(reply)
+                    (outcome, ScatterStats::default(), Duration::ZERO)
                 }
+            };
+            totals.record(&outcome, &stats);
+            let fit_start = Instant::now();
+            let model = fit_final_model(&outcome, &target, cfg.lambda)?;
+            let fit = fit_start.elapsed();
+            let mut reply = SearchReply::from_outcome(&outcome, &model);
+            // Even a shed/cancelled zero-round reply is honest about the
+            // shards it never could have consulted.
+            reply.shards_missing = missing;
+            reply.shards_missing.extend(stats.dead_shards.iter().map(|&s| s as u32));
+            reply.shards_missing.sort_unstable();
+            reply.shards_missing.dedup();
+            reply.degraded = !reply.shards_missing.is_empty();
+            if reply.degraded {
+                metrics.searches_degraded.inc();
             }
+            reply.spans.prepare_ns = duration_ns(prepare);
+            reply.spans.enumerate_ns = duration_ns(enumerate);
+            reply.spans.queue_wait_ns = duration_ns(queue_wait);
+            reply.spans.fit_ns = duration_ns(fit);
+            reply.spans.total_ns = duration_ns(submit_start.elapsed());
+            record_search_metrics(&metrics, &outcome, &reply);
+            Ok((PlatformSearchResult { outcome, model }, reply))
+        }))
+    }
+}
+
+/// Number of `shard-<i>` subdirectories under `dir` (0 when the directory
+/// does not exist yet).
+fn count_shard_dirs(dir: &std::path::Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
+    entries
+        .filter_map(|e| e.ok())
+        .filter(|e| {
+            e.path().is_dir()
+                && e.file_name()
+                    .to_str()
+                    .and_then(|n| n.strip_prefix("shard-"))
+                    .is_some_and(|i| i.parse::<usize>().is_ok())
+        })
+        .count()
+}
+
+/// Per-shard slice of the merged candidate list: the shard's candidates in
+/// global-order restriction, paired with their global positions.
+type ShardCandidates = Vec<(Vec<Candidate>, Vec<usize>)>;
+
+/// Merge per-shard candidate sets into the one global enumeration order:
+/// joins ranked (descending Jaccard, ascending name), then unions ranked
+/// (descending cosine, ascending name) — the same total orders the
+/// discovery tier sorts with, over globally unique names — with the
+/// per-class limits re-applied across the merged set. Returns, per shard,
+/// its candidates (in global-order restriction) with their global
+/// positions, plus the total truncation count (per-shard enumeration
+/// truncation + merge-time drops).
+///
+/// Each shard's list arrives already in that order, so this is a merge of
+/// S ranked runs: every name resolves once, and the stable run-adaptive
+/// sort does one pass over a single run (S = 1) and O(n log S) work over S.
+fn merge_shard_candidates(
+    sets: Vec<CandidateSet>,
+    limits: &CandidateLimits,
+    names: &DatasetInterner,
+) -> (ShardCandidates, usize) {
+    let mut out: ShardCandidates = sets.iter().map(|_| Default::default()).collect();
+    let mut truncated: usize = sets.iter().map(|s| s.truncated()).sum();
+    let mut joins = Vec::new();
+    let mut unions = Vec::new();
+    for (shard, set) in sets.into_iter().enumerate() {
+        for cand in set.candidates {
+            let name = names.name(cand.dataset()).unwrap_or_else(|| Arc::from(""));
+            match cand {
+                Candidate::Join { similarity, .. } => joins.push((similarity, name, shard, cand)),
+                Candidate::Union { similarity, .. } => unions.push((similarity, name, shard, cand)),
+            }
+        }
+    }
+    let mut position = 0;
+    for (mut ranked, limit) in [(joins, limits.max_join), (unions, limits.max_union)] {
+        ranked.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.1.cmp(&b.1))
         });
-        self.sched.admit(SessionJob {
-            requester,
-            control: control.clone(),
-            guard,
-            result_tx,
-            enqueued: Instant::now(),
-            exec,
-        })?;
-        Ok(SearchSession::new(id, control, event_rx, result_rx))
+        truncated += ranked.len().saturating_sub(limit);
+        for (_, _, shard, cand) in ranked.into_iter().take(limit) {
+            out[shard].0.push(cand);
+            out[shard].1.push(position);
+            position += 1;
+        }
     }
-
-    /// Serve a sketched request synchronously on the caller's thread,
-    /// returning the full outcome + model (the in-process fast path; the
-    /// session API wraps this same logic). Pure post-processing of the
-    /// uploaded sketches — no budget is consumed here, regardless of how
-    /// many requests arrive (the FPM guarantee).
-    pub fn search_sketched(
-        &self,
-        request: &SketchedRequest,
-        config: &SearchConfig,
-    ) -> Result<PlatformSearchResult> {
-        let search_start = Instant::now();
-        self.metrics.searches_started.inc();
-        let state = {
-            let _prepare = self.metrics.search_prepare.span();
-            build_sketched_state(request, config)?
-        };
-        let corpus = self.store.frozen();
-        let candidates = {
-            let _enumerate = self.metrics.search_enumerate.span();
-            let index = self.index.read();
-            enumerate_candidates(&index, &corpus, &request.profile, &config.limits)
-        };
-        let outcome = GreedySearch::new(config.clone()).run(state, candidates, &corpus)?;
-        self.search_totals.record(&outcome);
-        let model = {
-            let _fit = self.metrics.search_fit.span();
-            fit_final_model(&outcome, &request.task.target, config.lambda)?
-        };
-        self.metrics.search_run.record_duration(outcome.elapsed);
-        record_outcome_metrics(&self.metrics, &outcome);
-        self.metrics.search_total.record_duration(search_start.elapsed());
-        Ok(PlatformSearchResult { outcome, model })
-    }
-
-    /// Serve a raw-relation search request (Problem 1). **Deprecated
-    /// boundary**: this sketches the relations platform-side, which only a
-    /// co-located deployment should ever do — new code should sketch
-    /// locally (`SearchRequestBuilder` / `LocalDataStore::sketch_request`)
-    /// and go through [`CentralPlatform::submit`] or a `PlatformService`
-    /// transport. Kept as a thin wrapper over the sketched path so the two
-    /// produce bit-identical results.
-    pub fn search(
-        &self,
-        request: &SearchRequest,
-        config: &SearchConfig,
-    ) -> Result<PlatformSearchResult> {
-        let sketched = SketchedRequest::sketch(
-            &request.train,
-            &request.test,
-            &request.task,
-            request.key_columns.as_deref(),
-        )?;
-        self.search_sketched(&sketched, config)
-    }
+    (out, truncated)
 }
 
 /// Nanoseconds of a duration, saturating at `u64::MAX` (584 years).
-pub(crate) fn duration_ns(d: Duration) -> u64 {
+fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Outcome-derived counters and per-round histograms shared by every
-/// search path (session exec, synchronous fast path, scatter).
-pub(crate) fn record_outcome_metrics(metrics: &Metrics, outcome: &SearchOutcome) {
+/// Record a finished search: the run histogram and per-round histograms
+/// from the outcome, the shared counters, and the fit/total stages the
+/// reply's `SpanBreakdown` carries.
+fn record_search_metrics(metrics: &Metrics, outcome: &SearchOutcome, reply: &SearchReply) {
+    metrics.search_run.record_duration(outcome.elapsed);
     for &ns in &outcome.round_eval_ns {
         metrics.search_eval_round.record(ns);
     }
@@ -1040,29 +1169,13 @@ pub(crate) fn record_outcome_metrics(metrics: &Metrics, outcome: &SearchOutcome)
     metrics.search_bound_skips.add(outcome.bound_skips as u64);
     metrics.search_candidates_truncated.add(outcome.candidates_truncated as u64);
     metrics.searches_completed.inc();
-}
-
-/// Full recording for a finished session search: the run histogram from
-/// the outcome, the shared counters, and the fit/total stages the reply's
-/// [`SpanBreakdown`] carries.
-pub(crate) fn record_search_metrics(
-    metrics: &Metrics,
-    outcome: &SearchOutcome,
-    reply: &SearchReply,
-) {
-    metrics.search_run.record_duration(outcome.elapsed);
-    record_outcome_metrics(metrics, outcome);
     metrics.search_fit.record(reply.spans.fit_ns);
     metrics.search_total.record(reply.spans.total_ns);
 }
 
 /// Train the final proxy model on the augmented statistics of a finished
 /// search.
-pub(crate) fn fit_final_model(
-    outcome: &SearchOutcome,
-    target: &str,
-    lambda: f64,
-) -> Result<LinearModel> {
+fn fit_final_model(outcome: &SearchOutcome, target: &str, lambda: f64) -> Result<LinearModel> {
     let mut model = LinearModel::new(RidgeConfig { lambda, intercept: true });
     let features: Vec<&str> = outcome.state.features().iter().map(|s| s.as_str()).collect();
     let triple = outcome.state.train_triple();

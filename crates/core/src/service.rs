@@ -18,7 +18,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
-use crate::platform::CentralPlatform;
+use crate::platform::{CentralPlatform, Layout, Platform};
 use crate::wire::{
     AdminOp, AdminReply, CheckpointReceipt, ErrorCode, PlatformStats, RegisterReceipt, SearchReply,
     WireAdminRequest, WireAdminResponse, WireEvent, WireRegisterRequest, WireRegisterResponse,
@@ -475,11 +475,11 @@ pub fn wire_submit(
 
 /// The platform itself is a [`PlatformService`]: the trait's reference
 /// implementation, letting transports and the TCP server hold `&dyn
-/// PlatformService` over a [`CentralPlatform`] or [`ShardedPlatform`]
-/// interchangeably.
-impl PlatformService for CentralPlatform {
+/// PlatformService` over a [`CentralPlatform`] or a
+/// [`crate::ShardedPlatform`] interchangeably.
+impl<L: Layout> PlatformService for Platform<L> {
     fn register(&self, upload: ProviderUpload) -> Result<()> {
-        CentralPlatform::register(self, upload)
+        Platform::register(self, upload)
     }
 
     fn submit(
@@ -487,23 +487,23 @@ impl PlatformService for CentralPlatform {
         request: SketchedRequest,
         config: Option<SearchConfig>,
     ) -> Result<SearchSession> {
-        CentralPlatform::submit(self, request, config)
+        Platform::submit(self, request, config)
     }
 
     fn num_datasets(&self) -> usize {
-        CentralPlatform::num_datasets(self)
+        Platform::num_datasets(self)
     }
 
     fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        CentralPlatform::checkpoint(self)
+        Platform::checkpoint(self)
     }
 
     fn stats(&self) -> Result<PlatformStats> {
-        CentralPlatform::stats(self)
+        Platform::stats(self)
     }
 
     fn metrics(&self) -> Result<MetricsReport> {
-        Ok(CentralPlatform::metrics(self))
+        Ok(Platform::metrics(self))
     }
 
     fn metrics_handle(&self) -> Option<Arc<Metrics>> {
@@ -511,41 +511,7 @@ impl PlatformService for CentralPlatform {
     }
 }
 
-impl PlatformService for crate::shard::ShardedPlatform {
-    fn register(&self, upload: ProviderUpload) -> Result<()> {
-        crate::shard::ShardedPlatform::register(self, upload)
-    }
-
-    fn submit(
-        &self,
-        request: SketchedRequest,
-        config: Option<SearchConfig>,
-    ) -> Result<SearchSession> {
-        crate::shard::ShardedPlatform::submit(self, request, config)
-    }
-
-    fn num_datasets(&self) -> usize {
-        crate::shard::ShardedPlatform::num_datasets(self)
-    }
-
-    fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        crate::shard::ShardedPlatform::checkpoint(self)
-    }
-
-    fn stats(&self) -> Result<PlatformStats> {
-        crate::shard::ShardedPlatform::stats(self)
-    }
-
-    fn metrics(&self) -> Result<MetricsReport> {
-        Ok(crate::shard::ShardedPlatform::metrics(self))
-    }
-
-    fn metrics_handle(&self) -> Option<Arc<Metrics>> {
-        Some(Arc::clone(self.metrics_registry()))
-    }
-}
-
-impl CentralPlatform {
+impl<L: Layout> Platform<L> {
     /// Registration over the wire ([`wire_register`] against this
     /// platform).
     pub fn wire_register(&self, request_json: &str) -> String {
@@ -732,7 +698,7 @@ mod tests {
 
     #[test]
     fn degraded_search_labels_cross_the_wire_envelope() {
-        let sharded = Arc::new(crate::shard::ShardedPlatform::new(PlatformConfig {
+        let sharded = Arc::new(crate::ShardedPlatform::new(PlatformConfig {
             shards: 3,
             ..Default::default()
         }));

@@ -1,1064 +1,641 @@
-//! The sharded scatter-gather platform: the corpus partitioned across S
-//! shard workers behind the same service surface as [`CentralPlatform`].
+//! What a shard is: one partition of the corpus and everything that must
+//! stay consistent with it — sketch store + discovery index + budget
+//! ledger + storage engine — behind the single journaled mutation path
+//! (validate → journal → apply). A shard runs no sessions and keeps no
+//! search counters: placement, admission, the enumeration merge, the
+//! search session, telemetry and breakers belong to the coordinator in
+//! [`crate::platform`], which owns S of these (S = 1 for a
+//! `CentralPlatform`).
 //!
-//! Each shard worker **is** a full `CentralPlatform` — same journaled
-//! mutation path (validate → journal → apply), same WAL/snapshot engine
-//! (rooted at `dir/shard-i` for durable deployments), same budget ledger.
-//! The coordinator routes every mutation to the shard that owns the
-//! dataset and runs searches as scatter-gather greedy rounds over
-//! per-shard candidate slices (see `mileena_search::scatter`).
-//!
-//! **Placement.** A dataset's owning shard is decided once, at first
-//! sight, by hashing its interned `DatasetId`; the decision is then
-//! remembered in a membership map. On reopen the map is rebuilt from what
-//! each shard's store recovered *and* from each shard's budget ledger —
-//! ledger entries survive dataset removal, so a remove/re-register cycle
-//! still routes to the shard holding the spend and cannot launder budget
-//! through the partitioning.
-//!
-//! **Parity.** All shard stores share one dataset/key interner and all
-//! shard indexes share one corpus-global TF-IDF [`TermSpace`], so
-//! discovery scores, candidate ranks, and evaluation results are
-//! bit-identical to a single `CentralPlatform` over the union corpus.
-//! Selections and scores are pinned identical by the `sharded_parity`
-//! suite; only execution counters (evaluations/bound skips) may differ,
-//! because the distributed pruning walk is a different — equally
-//! admissible — walk.
-//!
-//! **Unavailability.** A shard marked unavailable fails its mutations
-//! with the typed [`CoreError::ShardUnavailable`]; searches fail fast when
-//! *any* shard is down, because a partial scatter would silently change
-//! selections — worse than an honest error. A caller that prefers a
-//! partial answer over no answer opts in with `SearchConfig::degraded_ok`:
-//! the search then runs over the live shard subset and the reply says so
-//! explicitly (`degraded`, `shards_missing`).
-//!
-//! **Supervision.** Each shard worker sits behind a circuit breaker
-//! (Healthy → Suspect → Quarantined → Recovering, see [`ShardHealth`]):
-//! consecutive failed shard calls — injected faults, crashes, or gather
-//! deadline strikes — open the breaker and quarantine the shard. A
-//! quarantined durable shard is auto-recovered on the next touch by
-//! re-opening it from its own WAL directory (`dir/shard-i`), the exact
-//! recovery path a restart would take, so the rebuilt worker is
-//! bit-identical; a volatile shard half-opens with a cheap probe of the
-//! still-resident worker. Operator downs (`set_shard_available`) are
-//! *not* auto-recovered — only the operator flips them back.
+//! All shards of one platform share the process-global dataset/key
+//! interner, one corpus-global TF-IDF [`TermSpace`] and the coordinator's
+//! metrics registry, so discovery scores, candidate ranks and evaluation
+//! results do not depend on how the corpus is partitioned.
 
-use crate::durable::RecoveryReport;
+use crate::durable::{
+    DeltaPayload, DeltaPayloadRef, PlatformSnapshotRef, RecoveryReport, SketchRegion,
+    SnapshotIndex, StoragePolicy, WalOp, WalOpRef,
+};
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
-use crate::platform::{
-    duration_ns, fit_final_model, record_search_metrics, CentralPlatform, PlatformConfig,
-    SessionGuard,
-};
-use crate::sched::{ExecMode, SchedulerConfig, SessionJob, SessionScheduler};
-use crate::service::SearchSession;
-use crate::wire::{
-    CheckpointReceipt, DiscoveryReport, PlatformStats, SearchReply, ShardHealth, ShardHealthState,
-    ShardReport, SpanBreakdown,
-};
-use mileena_discovery::{DiscoveryIndex, TermSpace};
+use crate::wire::{CheckpointReceipt, DiscoveryReport, StorageReport};
+use mileena_discovery::{DatasetProfile, DiscoveryConfig, DiscoveryIndex, TermSpace};
 use mileena_obs::{Metrics, MetricsReport};
-use mileena_privacy::PrivacyBudget;
-use mileena_relation::{DatasetInterner, FxHashMap};
-use mileena_search::{
-    build_shard_slices, build_sketched_state, enumerate_candidates, Candidate, CandidateLimits,
-    CandidateSet, ScatterSearch, ScatterStats, SearchConfig, SearchControl, SearchError,
-    SearchEvent, SearchOutcome, ShardCallFault, ShardCallInterceptor, ShardPartition,
-    SketchedRequest,
-};
-use mileena_sketch::SketchStore;
-use mileena_storage::{FaultKind, FaultSite};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use mileena_privacy::{BudgetAccountant, PrivacyBudget};
+use mileena_sketch::{SketchError, SketchStore};
+use mileena_storage::{StorageEngine, StorageOptions};
+use parking_lot::{Mutex, RwLock};
+use rayon::prelude::*;
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Cumulative scatter-gather counters across every search this platform
-/// served (the sharded analogue of the central `SearchTotals`, plus the
-/// scatter-specific counts surfaced through [`ShardReport`]).
+/// Durable-storage state behind the shard's mutation lock: holding it
+/// serializes every state mutation with its journal append, so the WAL's
+/// record order always matches the in-memory apply order.
 #[derive(Debug, Default)]
-struct ScatterTotals {
-    evaluations: AtomicU64,
-    bound_skips: AtomicU64,
-    candidates_truncated: AtomicU64,
-    scatter_rounds: AtomicU64,
-    gather_rounds: AtomicU64,
-    cross_shard_skips: AtomicU64,
+struct DurableState {
+    engine: Option<StorageEngine>,
+    recovery: Option<RecoveryReport>,
+    last_checkpoint_error: Option<String>,
+    /// Datasets registered or replaced since the last checkpoint (full or
+    /// delta) — the next delta checkpoint serializes exactly these.
+    dirty_datasets: std::collections::BTreeSet<String>,
+    /// Datasets removed since the last checkpoint.
+    removed_datasets: std::collections::BTreeSet<String>,
+    /// Ledger rows changed since the last checkpoint (grants and charges).
+    dirty_ledger: std::collections::BTreeSet<String>,
 }
 
-impl ScatterTotals {
-    fn record(&self, outcome: &SearchOutcome, stats: ScatterStats) {
-        self.evaluations.fetch_add(outcome.evaluations as u64, Ordering::Relaxed);
-        self.bound_skips.fetch_add(outcome.bound_skips as u64, Ordering::Relaxed);
-        self.candidates_truncated.fetch_add(outcome.candidates_truncated as u64, Ordering::Relaxed);
-        self.scatter_rounds.fetch_add(stats.rounds, Ordering::Relaxed);
-        self.gather_rounds.fetch_add(stats.shard_rounds, Ordering::Relaxed);
-        self.cross_shard_skips.fetch_add(stats.cross_shard_skips, Ordering::Relaxed);
-    }
-}
-
-/// Consecutive failed shard calls (injected faults or gather deadline
-/// strikes) that open a shard's circuit breaker. A crash opens it
-/// immediately regardless of the count.
-const BREAKER_THRESHOLD: u64 = 3;
-
-/// One shard's breaker bookkeeping (guarded by the supervisor's per-shard
-/// mutex; snapshotted into [`ShardHealth`] for reports).
-#[derive(Debug, Default)]
-struct BreakerCore {
-    state: ShardHealthState,
-    consecutive_failures: u64,
-    breaker_opened: u64,
-    timeout_strikes: u64,
-    recoveries: u64,
-}
-
-/// The per-shard health supervisors: the breaker state machine
-/// Healthy → Suspect → Quarantined → Recovering → Healthy. Failures and
-/// timeout strikes are recorded from scatter workers (via the shard-call
-/// interceptor and gather stats); recovery transitions are driven by the
-/// coordinator on its own threads ([`ShardedPlatform::recover_shard`]).
-#[derive(Debug)]
-struct ShardSupervisors {
-    shards: Vec<Mutex<BreakerCore>>,
-    metrics: Arc<Metrics>,
-}
-
-impl ShardSupervisors {
-    fn new(n: usize, metrics: Arc<Metrics>) -> Self {
-        ShardSupervisors {
-            shards: (0..n).map(|_| Mutex::new(BreakerCore::default())).collect(),
-            metrics,
-        }
-    }
-
-    fn state(&self, shard: usize) -> ShardHealthState {
-        self.shards[shard].lock().state
-    }
-
-    /// Snapshot every shard's breaker into the wire form for `stats()`.
-    fn health(&self) -> Vec<ShardHealth> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, core)| {
-                let b = core.lock();
-                ShardHealth {
-                    shard,
-                    state: b.state,
-                    consecutive_failures: b.consecutive_failures,
-                    breaker_opened: b.breaker_opened,
-                    timeout_strikes: b.timeout_strikes,
-                    recoveries: b.recoveries,
+impl DurableState {
+    /// Track which state a journaled mutation dirties, so a delta
+    /// checkpoint can serialize only the changed subset.
+    fn note_mutation(&mut self, op: &WalOpRef<'_>) {
+        match op {
+            WalOpRef::Register { upload } | WalOpRef::Replace { upload } => {
+                let name = &upload.sketch.name;
+                self.dirty_datasets.insert(name.clone());
+                self.removed_datasets.remove(name);
+                if upload.budget.is_some() {
+                    self.dirty_ledger.insert(name.clone());
                 }
-            })
-            .collect()
-    }
-
-    /// A shard call completed cleanly: close the failure run. Only a
-    /// successful *recovery* closes an open breaker.
-    fn record_success(&self, shard: usize) {
-        let mut b = self.shards[shard].lock();
-        if matches!(b.state, ShardHealthState::Healthy | ShardHealthState::Suspect) {
-            b.consecutive_failures = 0;
-            b.state = ShardHealthState::Healthy;
+            }
+            WalOpRef::Remove { dataset } => {
+                self.dirty_datasets.remove(*dataset);
+                self.removed_datasets.insert((*dataset).to_string());
+            }
+            WalOpRef::Grant { dataset, .. } | WalOpRef::Charge { dataset, .. } => {
+                self.dirty_ledger.insert((*dataset).to_string());
+            }
         }
     }
 
-    /// A shard call failed: extend the failure run; at
-    /// [`BREAKER_THRESHOLD`] the breaker opens and the shard quarantines.
-    fn record_failure(&self, shard: usize) {
-        let mut b = self.shards[shard].lock();
-        if matches!(b.state, ShardHealthState::Quarantined | ShardHealthState::Recovering) {
-            return;
-        }
-        self.metrics.shard_call_failures.inc();
-        b.consecutive_failures += 1;
-        if b.consecutive_failures >= BREAKER_THRESHOLD {
-            self.open(&mut b);
-        } else {
-            b.state = ShardHealthState::Suspect;
-        }
-    }
-
-    /// A shard blew its per-round gather deadline: a timeout strike, which
-    /// feeds the breaker exactly like a failed call.
-    fn record_timeout(&self, shard: usize) {
-        {
-            let mut b = self.shards[shard].lock();
-            b.timeout_strikes += 1;
-        }
-        self.metrics.shard_timeout_strikes.inc();
-        self.record_failure(shard);
-    }
-
-    /// A shard crashed mid-call: straight to Quarantined, no grace.
-    fn quarantine(&self, shard: usize) {
-        let mut b = self.shards[shard].lock();
-        if !matches!(b.state, ShardHealthState::Quarantined | ShardHealthState::Recovering) {
-            b.consecutive_failures += 1;
-            self.metrics.shard_call_failures.inc();
-            self.open(&mut b);
-        }
-    }
-
-    fn open(&self, b: &mut BreakerCore) {
-        b.state = ShardHealthState::Quarantined;
-        b.breaker_opened += 1;
-        self.metrics.shard_breaker_opened.inc();
-        self.metrics.shards_quarantined.add(1);
-    }
-
-    /// Claim the recovery of a quarantined shard (half-open). Returns
-    /// false when the shard is not quarantined or another thread already
-    /// holds the recovery.
-    fn begin_recovery(&self, shard: usize) -> bool {
-        let mut b = self.shards[shard].lock();
-        if b.state == ShardHealthState::Quarantined {
-            b.state = ShardHealthState::Recovering;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Settle a claimed recovery: success closes the breaker, failure
-    /// re-quarantines for the next probe.
-    fn finish_recovery(&self, shard: usize, ok: bool) {
-        let mut b = self.shards[shard].lock();
-        if ok {
-            b.state = ShardHealthState::Healthy;
-            b.consecutive_failures = 0;
-            b.recoveries += 1;
-            self.metrics.shard_recoveries.inc();
-            self.metrics.shards_quarantined.add(-1);
-        } else {
-            b.state = ShardHealthState::Quarantined;
-        }
+    /// A checkpoint (full or delta) captured everything dirty so far.
+    fn clear_dirty(&mut self) {
+        self.dirty_datasets.clear();
+        self.removed_datasets.clear();
+        self.dirty_ledger.clear();
     }
 }
 
-/// The sharded platform: S shard workers behind one coordinator.
+/// One corpus partition. Thread-safe: uploads and searches interleave
+/// (a search reads a frozen store snapshot and enumerates under the index
+/// read lock).
 #[derive(Debug)]
-pub struct ShardedPlatform {
-    /// Shard workers behind per-slot locks: supervised recovery swaps a
-    /// rebuilt worker in while the coordinator keeps serving.
-    shards: Vec<Mutex<Arc<CentralPlatform>>>,
-    available: Vec<AtomicBool>,
-    /// Dataset name → owning shard. Grows on first placement, survives
-    /// removal (the shard's ledger may still hold the spend), rebuilt from
-    /// shard stores + ledgers at open.
-    membership: Mutex<FxHashMap<String, usize>>,
-    config: PlatformConfig,
-    active_sessions: Arc<AtomicUsize>,
-    session_counter: AtomicU64,
-    totals: Arc<ScatterTotals>,
-    sched: SessionScheduler,
-    /// Coordinator-level telemetry registry: the search-stage histograms
-    /// and counters for scatter-gather searches. Shard workers keep their
-    /// own registries (WAL/snapshot I/O); [`ShardedPlatform::metrics`]
-    /// merges everything into one report.
+pub struct Shard {
+    store: SketchStore,
+    index: RwLock<DiscoveryIndex>,
+    accountant: Mutex<BudgetAccountant>,
+    /// Durable-storage policy rooted at this shard's own directory
+    /// (`None` = volatile).
+    policy: Option<StoragePolicy>,
+    /// The owning coordinator's registry (WAL, snapshot and hydration
+    /// series record here).
     metrics: Arc<Metrics>,
-    /// Per-shard circuit breakers (shared with scatter workers, which
-    /// record call failures through the shard-call interceptor).
-    supervisors: Arc<ShardSupervisors>,
-    /// The corpus-global TF-IDF term space every shard index shares —
-    /// kept on the coordinator so a recovered shard's rebuilt index joins
-    /// the same space (the parity guarantee for recovery).
-    terms: TermSpace,
+    durable: Mutex<DurableState>,
 }
 
-/// The per-shard worker configuration: shard workers never run sessions
-/// themselves (the coordinator's scheduler owns admission), so their pools
-/// stay minimal; discovery/search tuning is inherited.
-fn shard_worker_config(
-    config: &PlatformConfig,
-    storage: Option<crate::durable::StoragePolicy>,
-) -> PlatformConfig {
-    PlatformConfig {
-        discovery: config.discovery.clone(),
-        default_search: config.default_search.clone(),
-        max_concurrent_sessions: 1,
-        max_session_wall: None,
-        scheduler: SchedulerConfig { workers: Some(1), queue_depth: 1, ..Default::default() },
-        shards: 1,
-        storage,
+impl Shard {
+    /// Open a shard: empty and volatile without a `policy`, otherwise
+    /// recovered from (or created at) `policy.dir`.
+    ///
+    /// Recovery: loads the newest valid snapshot (falling back past
+    /// corrupted ones), replays the WAL tail — each surviving record
+    /// applied exactly once, in sequence order, so budget accounting is
+    /// never double-spent — truncates any torn final record, and rebuilds
+    /// the discovery index from the recovered profiles. The recovered
+    /// shard answers searches bit-identically to one that never restarted.
+    pub(crate) fn open(
+        discovery: DiscoveryConfig,
+        terms: TermSpace,
+        policy: Option<StoragePolicy>,
+        metrics: Arc<Metrics>,
+    ) -> Result<Self> {
+        let store = SketchStore::new();
+        let mut index =
+            DiscoveryIndex::with_term_space(discovery, Arc::clone(store.dataset_interner()), terms);
+        let mut accountant = BudgetAccountant::new();
+        let durable = match &policy {
+            None => DurableState::default(),
+            Some(policy) => Self::recover(policy, &store, &mut index, &mut accountant, &metrics)?,
+        };
+        Ok(Shard {
+            store,
+            index: RwLock::new(index),
+            accountant: Mutex::new(accountant),
+            policy,
+            metrics,
+            durable: Mutex::new(durable),
+        })
     }
-}
 
-impl ShardedPlatform {
-    /// New volatile sharded platform with `config.shards` shard workers
-    /// (clamped to ≥ 1). All shards share one dataset/key interner and one
-    /// TF-IDF term space — the invariants the parity guarantee rests on.
-    pub fn new(config: PlatformConfig) -> Self {
-        let s = config.shards.max(1);
-        let terms = TermSpace::new();
-        let shards = (0..s)
-            .map(|_| {
-                let store = SketchStore::new();
-                let index = DiscoveryIndex::with_term_space(
-                    config.discovery.clone(),
-                    Arc::clone(store.dataset_interner()),
-                    terms.clone(),
-                );
-                Arc::new(CentralPlatform::new_with_parts(
-                    shard_worker_config(&config, None),
-                    store,
-                    index,
-                ))
+    /// Hydrate the empty `store`, `index` and `accountant` from the
+    /// directory at `policy.dir`.
+    fn recover(
+        policy: &StoragePolicy,
+        store: &SketchStore,
+        index: &mut DiscoveryIndex,
+        accountant: &mut BudgetAccountant,
+        metrics: &Arc<Metrics>,
+    ) -> Result<DurableState> {
+        let opts = StorageOptions {
+            fsync_appends: policy.fsync_appends,
+            retain_snapshots: policy.retain_snapshots,
+            faults: policy.faults.clone(),
+        };
+        let eager_started = Instant::now();
+        let (engine, recovered) = StorageEngine::open(&policy.dir, opts)?;
+
+        // Wire the hydration observer before any lazy slot registers so no
+        // fill goes uncounted.
+        {
+            let m = Arc::clone(metrics);
+            store.set_hydration_observer(Box::new(move |background| {
+                if !background {
+                    m.hydrations_lazy.inc();
+                }
+            }));
+        }
+
+        // 1. Hydrate the snapshot skeleton. Profiles and the ledger load
+        //    eagerly — discovery and budget accounting need them before the
+        //    first search — while v2 sketch blobs stay as lazy spans that
+        //    decode on first evaluation touch, so time-to-first-search is
+        //    independent of sketch volume. v1 JSON snapshots (inline
+        //    sketches) keep materializing everything at open.
+        let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
+        let mut profiles: std::collections::BTreeMap<String, DatasetProfile> =
+            std::collections::BTreeMap::new();
+        let mut snapshot_bytes = 0u64;
+        if let Some((_, payload)) = recovered.snapshot {
+            snapshot_bytes += payload.len() as u64;
+            let snap_index = SnapshotIndex::decode(&payload)?;
+            let payload: Arc<Vec<u8>> = Arc::new(payload);
+            for slot in snap_index.datasets {
+                profiles.insert(slot.name.clone(), slot.profile);
+                match slot.sketch {
+                    SketchRegion::Span { offset, len } if policy.lazy_hydration => {
+                        let payload = Arc::clone(&payload);
+                        store
+                            .register_lazy(
+                                &slot.name,
+                                Box::new(move |_background| {
+                                    crate::durable::decode_sketch_blob(
+                                        &payload[offset..offset + len],
+                                    )
+                                    .map_err(|e| e.to_string())?
+                                    .into_sketch()
+                                    .map_err(|e| e.to_string())
+                                }),
+                            )
+                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
+                    }
+                    region => {
+                        store
+                            .register(region.materialize(&payload)?.into_sketch()?)
+                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
+                    }
+                }
+            }
+            for row in snap_index.ledger {
+                accountant.restore(&row.dataset, row.limit, row.spent);
+            }
+        }
+
+        // 2. Apply the delta chain in order: each link replaces its changed
+        //    datasets, applies its removals, and restores its ledger rows.
+        let mut delta_links = 0u64;
+        let mut chain_head = snapshot_seq.unwrap_or(0);
+        for (seq, payload) in &recovered.deltas {
+            snapshot_bytes += payload.len() as u64;
+            let delta = DeltaPayload::decode(payload)?;
+            for entry in delta.datasets {
+                profiles.insert(entry.profile.name.clone(), entry.profile);
+                store.replace(entry.sketch.into_sketch()?);
+            }
+            for name in &delta.removed {
+                profiles.remove(name);
+                let _ = store.remove(name);
+            }
+            for row in delta.ledger {
+                accountant.restore(&row.dataset, row.limit, row.spent);
+            }
+            chain_head = *seq;
+            delta_links += 1;
+        }
+
+        // 3. Replay the WAL tail on top, skipping records the delta chain
+        //    already covers. Frame decode — the dominant replay cost, each
+        //    record embeds a full upload document — fans out on the worker
+        //    pool; apply stays sequential in sequence order so budget
+        //    accounting is never double-spent.
+        let replay_started = Instant::now();
+        let tail: Vec<_> =
+            recovered.records.iter().filter(|record| record.seq > chain_head).collect();
+        let replayed_records = tail.len() as u64;
+        let decoded: Vec<Result<WalOp>> = tail
+            .par_iter()
+            .map(|record| {
+                WalOp::decode(&record.payload)
+                    .map_err(|e| CoreError::Storage(format!("record {}: {e}", record.seq)))
             })
             .collect();
-        Self::assemble(shards, config, terms)
-    }
-
-    /// Open a durable sharded platform: shard `i` journals and snapshots
-    /// under `<storage.dir>/shard-i`, each recovering independently through
-    /// the standard `CentralPlatform` recovery path. The shard count is
-    /// pinned by the directory layout — reopening with a different
-    /// `config.shards` is an error (partitions on disk cannot be
-    /// re-hashed).
-    pub fn open_with(config: PlatformConfig) -> Result<Self> {
-        let policy = config.storage.clone().ok_or_else(|| {
-            CoreError::Storage("open_with requires PlatformConfig.storage".into())
-        })?;
-        let s = config.shards.max(1);
-        let existing = count_shard_dirs(&policy.dir);
-        if existing != 0 && existing != s {
-            return Err(CoreError::Storage(format!(
-                "shard count mismatch: {} holds {existing} shard directories, config wants {s}",
-                policy.dir.display()
-            )));
+        for (record, op) in tail.iter().zip(decoded) {
+            Self::replay(store, &mut profiles, accountant, op?)
+                .map_err(|e| CoreError::Storage(format!("replay record {}: {e}", record.seq)))?;
         }
-        let terms = TermSpace::new();
-        // Shards recover from disjoint directories with no cross-shard
-        // ordering dependency (the shared interner and term space are
-        // concurrency-safe), so the S opens run concurrently — restart
-        // time is the slowest shard, not the sum.
-        let workers: Vec<Result<CentralPlatform>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..s)
-                .map(|i| {
-                    let config = &config;
-                    let policy = &policy;
-                    let terms = terms.clone();
-                    scope.spawn(move || {
-                        let store = SketchStore::new();
-                        let index = DiscoveryIndex::with_term_space(
-                            config.discovery.clone(),
-                            Arc::clone(store.dataset_interner()),
-                            terms,
-                        );
-                        let mut shard_policy = policy.clone();
-                        shard_policy.dir = policy.dir.join(format!("shard-{i}"));
-                        CentralPlatform::open_with_parts(
-                            shard_worker_config(config, Some(shard_policy)),
-                            store,
-                            index,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard open panicked")).collect()
-        });
-        let mut shards = Vec::with_capacity(s);
-        for worker in workers {
-            shards.push(Arc::new(worker?));
+        let replay_ms = replay_started.elapsed().as_millis() as u64;
+
+        // 4. Rebuild the discovery index once, over the final profile set —
+        //    per-record register/replace/remove churn during replay is what
+        //    made the replay path ~2× the snapshot path. Ranking tie-breaks
+        //    are by name, so the name-sorted rebuild order is
+        //    search-identical to incremental registration.
+        for (_, profile) in profiles {
+            index.register(profile);
         }
-        let platform = Self::assemble(shards, config, terms);
-        platform.rebuild_membership();
-        Ok(platform)
-    }
 
-    fn assemble(
-        shards: Vec<Arc<CentralPlatform>>,
-        config: PlatformConfig,
-        terms: TermSpace,
-    ) -> Self {
-        let available = shards.iter().map(|_| AtomicBool::new(true)).collect();
-        let sched = SessionScheduler::new(
-            config.scheduler.effective_workers(config.max_concurrent_sessions),
-            config.scheduler.queue_depth,
-            config.scheduler.faults.clone(),
-        );
-        let metrics = Arc::new(Metrics::new());
-        let supervisors = Arc::new(ShardSupervisors::new(shards.len(), Arc::clone(&metrics)));
-        ShardedPlatform {
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            available,
-            membership: Mutex::new(FxHashMap::default()),
-            config,
-            active_sessions: Arc::new(AtomicUsize::new(0)),
-            session_counter: AtomicU64::new(0),
-            totals: Arc::new(ScatterTotals::default()),
-            sched,
-            metrics,
-            supervisors,
-            terms,
-        }
-    }
-
-    /// The current worker behind shard slot `i` (recovery may swap it).
-    fn shard(&self, i: usize) -> Arc<CentralPlatform> {
-        Arc::clone(&self.shards[i].lock())
-    }
-
-    /// The coordinator's live telemetry registry (counters record here).
-    pub fn metrics_registry(&self) -> &Arc<Metrics> {
-        &self.metrics
-    }
-
-    /// One merged metrics snapshot for the whole deployment: the
-    /// coordinator's registry (search stages, per-shard gather times),
-    /// its scheduler's queue-wait/run-time histograms, and every shard
-    /// worker's report (WAL/snapshot I/O) merged in by name.
-    pub fn metrics(&self) -> MetricsReport {
-        let mut report = self.metrics.report();
-        let (queue_wait, run_time) = self.sched.histograms();
-        report.push_histogram("search_queue_wait_ns", queue_wait.report());
-        report.push_histogram("scheduler_run_ns", run_time.report());
-        for i in 0..self.shards.len() {
-            report.merge(&self.shard(i).metrics());
-        }
-        report
-    }
-
-    /// Re-derive the membership map after recovery: whatever a shard's
-    /// store recovered lives there, and whatever its ledger remembers —
-    /// including removed datasets — stays routed there so the
-    /// anti-laundering rejection comes from the shard holding the spend.
-    fn rebuild_membership(&self) {
-        let mut membership = self.membership.lock();
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            // names() never hydrates — membership rebuild must not defeat
-            // lazy sketch hydration by touching every blob.
-            for name in shard.store().names() {
-                membership.insert(name, i);
-            }
-            for name in shard.ledger_datasets() {
-                membership.insert(name, i);
-            }
-        }
-    }
-
-    /// The shard owning `name`: the membership map when the name is known,
-    /// otherwise a first-seen placement by hashing the interned dataset id
-    /// (recorded by the mutation that follows, never by the lookup itself).
-    fn place(&self, name: &str) -> usize {
-        if let Some(&shard) = self.membership.lock().get(name) {
-            return shard;
-        }
-        let id = self.shard(0).store().dataset_interner().intern(name);
-        let mixed = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 32) as usize) % self.shards.len()
-    }
-
-    /// Operator-down shards fail outright; breaker-quarantined shards get
-    /// one supervised recovery attempt before the typed rejection.
-    fn ensure_available(&self, shard: usize) -> Result<()> {
-        if !self.available[shard].load(Ordering::SeqCst) {
-            return Err(CoreError::ShardUnavailable { shard });
-        }
-        if self.supervisors.state(shard) == ShardHealthState::Quarantined {
-            self.recover_shard(shard).map_err(|_| CoreError::ShardUnavailable { shard })?;
-        }
-        match self.supervisors.state(shard) {
-            ShardHealthState::Quarantined | ShardHealthState::Recovering => {
-                Err(CoreError::ShardUnavailable { shard })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Mark a shard worker available/unavailable (operator control; the
-    /// chaos and failure tests drive it). Mutations owned by an unavailable
-    /// shard and all searches fail with [`CoreError::ShardUnavailable`].
-    /// Unlike a breaker quarantine, an operator down is never auto-recovered.
-    pub fn set_shard_available(&self, shard: usize, up: bool) {
-        self.available[shard].store(up, Ordering::SeqCst);
-    }
-
-    /// Per-shard breaker health (state, failure runs, strike and recovery
-    /// counters) — the same snapshot `stats()` ships in [`ShardReport`].
-    pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.supervisors.health()
-    }
-
-    /// Attempt supervised recovery of a breaker-quarantined shard; no-op
-    /// when the shard is healthy or another thread holds the recovery.
-    ///
-    /// Durable deployments rebuild the worker from its own WAL directory
-    /// (`dir/shard-i`) through the standard `CentralPlatform` recovery
-    /// path — snapshot hydrate, journal replay, index rebuild — and swap
-    /// it into the slot, so the recovered shard is bit-identical to the
-    /// one that crashed. Volatile deployments half-open the breaker with a
-    /// cheap probe of the still-resident worker (the breaker opened on
-    /// call faults; the in-memory state never went away).
-    pub fn recover_shard(&self, shard: usize) -> Result<()> {
-        if !self.supervisors.begin_recovery(shard) {
-            return Ok(());
-        }
-        let result = self.reopen_shard(shard);
-        self.supervisors.finish_recovery(shard, result.is_ok());
-        result
-    }
-
-    fn reopen_shard(&self, shard: usize) -> Result<()> {
-        let Some(policy) = self.config.storage.clone() else {
-            return self.shard(shard).stats().map(|_| ());
-        };
-        let store = SketchStore::new();
-        let index = DiscoveryIndex::with_term_space(
-            self.config.discovery.clone(),
-            Arc::clone(store.dataset_interner()),
-            self.terms.clone(),
-        );
-        let mut shard_policy = policy.clone();
-        shard_policy.dir = policy.dir.join(format!("shard-{shard}"));
-        let worker = Arc::new(CentralPlatform::open_with_parts(
-            shard_worker_config(&self.config, Some(shard_policy)),
-            store,
-            index,
-        )?);
-        *self.shards[shard].lock() = Arc::clone(&worker);
-        // Re-merge the recovered shard's membership: its store and ledger
-        // say what it owns, same as the open-time rebuild.
-        let mut membership = self.membership.lock();
-        for name in worker.store().names() {
-            membership.insert(name, shard);
-        }
-        for name in worker.ledger_datasets() {
-            membership.insert(name, shard);
-        }
-        Ok(())
-    }
-
-    /// Register a provider upload on the owning shard (the shard's own
-    /// journaled validate → journal → apply path).
-    pub fn register(&self, upload: ProviderUpload) -> Result<()> {
-        let name = upload.sketch.name.clone();
-        let shard = self.place(&name);
-        self.ensure_available(shard)?;
-        self.shard(shard).register(upload)?;
-        self.membership.lock().insert(name, shard);
-        Ok(())
-    }
-
-    /// Replace (or insert) a dataset on its owning shard.
-    pub fn replace(&self, upload: ProviderUpload) -> Result<()> {
-        let name = upload.sketch.name.clone();
-        let shard = self.place(&name);
-        self.ensure_available(shard)?;
-        self.shard(shard).replace(upload)?;
-        self.membership.lock().insert(name, shard);
-        Ok(())
-    }
-
-    /// Remove a dataset from its owning shard. The membership entry stays:
-    /// the shard's ledger may still hold the dataset's spend, and
-    /// re-registration must route back to it.
-    pub fn remove(&self, name: &str) -> Result<()> {
-        let shard = self.place(name);
-        self.ensure_available(shard)?;
-        self.shard(shard).remove(name)
-    }
-
-    /// Grant budget headroom on the owning shard's ledger.
-    pub fn grant_budget(&self, dataset: &str, budget: PrivacyBudget) -> Result<()> {
-        let shard = self.place(dataset);
-        self.ensure_available(shard)?;
-        self.shard(shard).grant_budget(dataset, budget)?;
-        self.membership.lock().insert(dataset.to_string(), shard);
-        Ok(())
-    }
-
-    /// Charge a release against the owning shard's ledger.
-    pub fn charge_budget(&self, dataset: &str, cost: PrivacyBudget) -> Result<()> {
-        let shard = self.place(dataset);
-        self.ensure_available(shard)?;
-        self.shard(shard).charge_budget(dataset, cost)
-    }
-
-    /// Budget spent by a dataset, answered by its owning shard.
-    pub fn budget_spent(&self, dataset: &str) -> Option<PrivacyBudget> {
-        self.shard(self.place(dataset)).budget_spent(dataset)
-    }
-
-    /// Budget remaining for a dataset, answered by its owning shard.
-    pub fn budget_remaining(&self, dataset: &str) -> Result<PrivacyBudget> {
-        self.shard(self.place(dataset)).budget_remaining(dataset)
-    }
-
-    /// Total registered datasets across all shards.
-    pub fn num_datasets(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.shard(i).num_datasets()).sum()
-    }
-
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Merge the shards' recovery reports into one restart summary:
-    /// counters sum across shards; the phase timings take the slowest
-    /// shard, since the S opens ran concurrently. `None` on volatile
-    /// deployments.
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        let reports: Vec<_> =
-            (0..self.shards.len()).filter_map(|i| self.shard(i).recovery_report()).collect();
-        let mut merged: Option<RecoveryReport> = None;
-        for r in reports {
-            let m = merged.get_or_insert(RecoveryReport {
-                snapshot_seq: None,
-                replayed_records: 0,
-                torn_tail: false,
-                invalid_snapshots: 0,
-                snapshot_bytes: 0,
-                delta_links: 0,
-                eager_ms: 0,
-                replay_ms: 0,
-                lazy_datasets: 0,
+        // 5. Kick the background hydrator: the shard serves traffic while
+        //    the pool drains.
+        let pending = store.unhydrated();
+        metrics.snapshot_bytes.add(snapshot_bytes);
+        if pending > 0
+            && policy.background_hydration
+            && std::env::var_os("MILEENA_NO_BG_HYDRATION").is_none()
+        {
+            let hydrator = store.clone();
+            std::thread::spawn(move || {
+                let _ = hydrator.hydrate_pending();
             });
-            m.snapshot_seq = m.snapshot_seq.max(r.snapshot_seq);
-            m.replayed_records += r.replayed_records;
-            m.torn_tail |= r.torn_tail;
-            m.invalid_snapshots += r.invalid_snapshots;
-            m.snapshot_bytes += r.snapshot_bytes;
-            m.delta_links += r.delta_links;
-            m.eager_ms = m.eager_ms.max(r.eager_ms);
-            m.replay_ms = m.replay_ms.max(r.replay_ms);
-            m.lazy_datasets += r.lazy_datasets;
         }
-        merged
+
+        Ok(DurableState {
+            engine: Some(engine),
+            recovery: Some(RecoveryReport {
+                snapshot_seq,
+                replayed_records,
+                torn_tail: recovered.torn_tail,
+                invalid_snapshots: recovered.invalid_snapshots as u64,
+                snapshot_bytes,
+                delta_links,
+                eager_ms: eager_started.elapsed().as_millis() as u64,
+                replay_ms,
+                lazy_datasets: pending as u64,
+            }),
+            ..DurableState::default()
+        })
     }
 
-    /// The shard currently owning a dataset (`None` = never placed).
-    pub fn shard_of(&self, name: &str) -> Option<usize> {
-        self.membership.lock().get(name).copied()
-    }
-
-    /// The shard workers (read access for tests/inspection).
-    pub fn shard_platforms(&self) -> Vec<Arc<CentralPlatform>> {
-        (0..self.shards.len()).map(|i| self.shard(i)).collect()
-    }
-
-    /// The platform configuration.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
-    }
-
-    /// Sessions admitted and not yet finished (queued + executing).
-    pub fn active_sessions(&self) -> usize {
-        self.active_sessions.load(Ordering::SeqCst)
-    }
-
-    /// Sessions currently waiting in the admission queue.
-    pub fn queued_sessions(&self) -> usize {
-        self.sched.queued()
-    }
-
-    /// Checkpoint every shard, returning the aggregate receipt (max
-    /// sequence, summed datasets and snapshot bytes). Errors on volatile
-    /// platforms, like the single-shard checkpoint.
-    pub fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        let mut receipt = CheckpointReceipt { seq: 0, datasets: 0, snapshot_bytes: 0 };
-        for i in 0..self.shards.len() {
-            let r = self.shard(i).checkpoint()?;
-            receipt.seq = receipt.seq.max(r.seq);
-            receipt.datasets += r.datasets;
-            receipt.snapshot_bytes += r.snapshot_bytes;
+    /// Apply one journaled mutation during recovery. Replay never journals
+    /// (the record is already on disk) and is defensive about records
+    /// whose effect is somehow already present — a re-registration is
+    /// skipped rather than double-charged.
+    fn replay(
+        store: &SketchStore,
+        profiles: &mut std::collections::BTreeMap<String, DatasetProfile>,
+        accountant: &mut BudgetAccountant,
+        op: WalOp,
+    ) -> Result<()> {
+        match op {
+            WalOp::Register { upload } => {
+                let name = upload.sketch.name.clone();
+                if store.contains(&name) {
+                    return Ok(()); // effect already present: refuse to double-apply
+                }
+                store.register(upload.sketch)?;
+                profiles.insert(name.clone(), upload.profile);
+                if let Some(budget) = upload.budget {
+                    if !accountant.contains(&name) {
+                        accountant.register_and_charge(&name, budget)?;
+                    }
+                }
+            }
+            WalOp::Replace { upload } => {
+                let name = upload.sketch.name.clone();
+                store.replace(upload.sketch);
+                profiles.insert(name.clone(), upload.profile);
+                if let Some(budget) = upload.budget {
+                    accountant.top_up_and_charge(&name, budget)?;
+                }
+            }
+            WalOp::Remove { dataset } => {
+                let _ = store.remove(&dataset);
+                profiles.remove(&dataset);
+                // The ledger entry stays: spent budget is spent forever.
+            }
+            WalOp::Grant { dataset, budget } => {
+                accountant.grant(&dataset, budget)?;
+            }
+            WalOp::Charge { dataset, cost } => {
+                accountant.charge(&dataset, cost)?;
+            }
         }
+        Ok(())
+    }
+
+    /// Journal one mutation (no-op on volatile shards). Called with the
+    /// durable lock held, *before* the in-memory apply: an acknowledged
+    /// mutation is on disk first.
+    fn journal(&self, state: &mut DurableState, op: WalOpRef<'_>) -> Result<()> {
+        if state.engine.is_some() {
+            let payload = op.encode()?;
+            state.engine.as_mut().expect("checked above").append(&payload)?;
+            state.note_mutation(&op);
+            self.metrics.wal_appends.inc();
+        }
+        Ok(())
+    }
+
+    /// Run the auto-checkpoint policy after a successful mutation. A
+    /// failing checkpoint never fails the mutation (the WAL already holds
+    /// it); the error is surfaced through `stats()` instead.
+    fn maybe_auto_checkpoint(&self, state: &mut DurableState) {
+        let policy = match &self.policy {
+            Some(policy) if policy.checkpoint_every > 0 => policy,
+            _ => return,
+        };
+        let due = state
+            .engine
+            .as_ref()
+            .is_some_and(|e| e.records_since_checkpoint() >= policy.checkpoint_every);
+        if !due {
+            return;
+        }
+        // Differential checkpoint when a base exists and the chain has
+        // room; otherwise (first checkpoint, chain at cap, deltas off) a
+        // full snapshot resets the chain. A failed delta — injected fault,
+        // or state the dirty sets can't serialize — falls back to a full
+        // snapshot rather than leaving the WAL unbounded.
+        let use_delta = policy.delta_checkpoints
+            && state.engine.as_ref().is_some_and(|e| {
+                e.snapshot_seq().is_some() && e.delta_chain_len() < policy.max_delta_chain
+            });
+        let result = if use_delta {
+            self.checkpoint_delta_locked(state).or_else(|_| self.checkpoint_locked(state))
+        } else {
+            self.checkpoint_locked(state)
+        };
+        state.last_checkpoint_error = result.err().map(|e| e.to_string());
+    }
+
+    /// Serialize the full shard state and checkpoint the engine at the
+    /// current sequence. Called with the durable lock held.
+    fn checkpoint_locked(&self, state: &mut DurableState) -> Result<CheckpointReceipt> {
+        if state.engine.is_none() {
+            return Err(CoreError::Storage("platform has no durable storage configured".into()));
+        }
+        let index = self.index.read();
+        let sketches = self.store.all()?;
+        let mut datasets = Vec::with_capacity(sketches.len());
+        for sketch in &sketches {
+            let profile = index.profile(&sketch.name).ok_or_else(|| {
+                CoreError::Storage(format!("dataset {} has no indexed profile", sketch.name))
+            })?;
+            datasets.push((sketch.as_ref(), profile));
+        }
+        let ledger = self.accountant.lock().entries();
+        let payload = PlatformSnapshotRef { datasets, ledger: &ledger }.encode_binary()?;
+        let seq = state.engine.as_mut().expect("checked above").checkpoint(&payload)?;
+        state.clear_dirty();
+        self.metrics.snapshots_written.inc();
+        Ok(CheckpointReceipt { seq, datasets: sketches.len(), snapshot_bytes: payload.len() })
+    }
+
+    /// Serialize only what changed since the chain head and append a delta
+    /// link. Called with the durable lock held; the caller falls back to a
+    /// full snapshot on error.
+    fn checkpoint_delta_locked(&self, state: &mut DurableState) -> Result<CheckpointReceipt> {
+        if state.engine.is_none() {
+            return Err(CoreError::Storage("platform has no durable storage configured".into()));
+        }
+        let index = self.index.read();
+        let mut sketches = Vec::with_capacity(state.dirty_datasets.len());
+        for name in &state.dirty_datasets {
+            sketches.push(self.store.get(name)?); // hydrates on demand
+        }
+        let mut datasets = Vec::with_capacity(sketches.len());
+        for (name, sketch) in state.dirty_datasets.iter().zip(&sketches) {
+            let profile = index.profile(name).ok_or_else(|| {
+                CoreError::Storage(format!("dataset {name} has no indexed profile"))
+            })?;
+            datasets.push((sketch.as_ref(), profile));
+        }
+        let removed: Vec<String> = state.removed_datasets.iter().cloned().collect();
+        let ledger: Vec<_> = self
+            .accountant
+            .lock()
+            .entries()
+            .into_iter()
+            .filter(|(name, _, _)| state.dirty_ledger.contains(name))
+            .collect();
+        let payload = DeltaPayloadRef { datasets, removed: &removed, ledger: &ledger }.encode()?;
+        let seq = state.engine.as_mut().expect("checked above").checkpoint_delta(&payload)?;
+        state.clear_dirty();
+        self.metrics.snapshots_written.inc();
+        Ok(CheckpointReceipt { seq, datasets: sketches.len(), snapshot_bytes: payload.len() })
+    }
+
+    /// Checkpoint now: write a full-state snapshot, rotate the log, and
+    /// purge segments/snapshots past the retention horizon. Errors on
+    /// volatile shards.
+    pub(crate) fn checkpoint(&self) -> Result<CheckpointReceipt> {
+        let mut state = self.durable.lock();
+        let receipt = self.checkpoint_locked(&mut state)?;
+        state.last_checkpoint_error = None;
         Ok(receipt)
     }
 
-    /// Platform statistics, aggregated across shards, with the
-    /// scatter-gather counters in `stats.shards`.
-    pub fn stats(&self) -> Result<PlatformStats> {
-        let mut discovery = DiscoveryReport {
-            datasets: 0,
-            key_columns: 0,
-            lsh_buckets: 0,
-            schema_buckets: 0,
-            posting_terms: 0,
-        };
-        let mut datasets_per_shard = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
-            let s = self.shard(i).stats()?;
-            discovery.datasets += s.discovery.datasets;
-            discovery.key_columns += s.discovery.key_columns;
-            discovery.lsh_buckets += s.discovery.lsh_buckets;
-            discovery.schema_buckets += s.discovery.schema_buckets;
-            // Postings live in the shared corpus-global term space: every
-            // shard reports the same census, so take it, don't sum it.
-            discovery.posting_terms = discovery.posting_terms.max(s.discovery.posting_terms);
-            datasets_per_shard.push(s.datasets);
-        }
-        let unavailable = self
-            .available
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.load(Ordering::SeqCst))
-            .map(|(i, _)| i)
-            .collect();
-        Ok(PlatformStats {
-            datasets: datasets_per_shard.iter().sum(),
-            active_sessions: self.active_sessions(),
-            search_evaluations: self.totals.evaluations.load(Ordering::Relaxed),
-            search_bound_skips: self.totals.bound_skips.load(Ordering::Relaxed),
-            search_candidates_truncated: self.totals.candidates_truncated.load(Ordering::Relaxed),
-            discovery,
-            scheduler: self.sched.report(),
-            storage: None,
-            shards: Some(ShardReport {
-                shards: self.shards.len(),
-                datasets_per_shard,
-                scatter_rounds: self.totals.scatter_rounds.load(Ordering::Relaxed),
-                gather_rounds: self.totals.gather_rounds.load(Ordering::Relaxed),
-                cross_shard_bound_skips: self.totals.cross_shard_skips.load(Ordering::Relaxed),
-                gather: self.metrics.shard_gather.summary(),
-                unavailable,
-                health: self.supervisors.health(),
-            }),
-        })
-    }
-
-    /// The scatter shard-call interceptor: rolls the chaos plan's
-    /// [`FaultSite::ShardCall`] site once per shard call and records the
-    /// outcome against the shard's breaker — an `Error` is a failed call,
-    /// a `Panic` is a crash (straight to quarantine), a clean roll closes
-    /// the shard's failure run. `None` when no fault plan is armed.
-    fn shard_call_interceptor(&self) -> Option<ShardCallInterceptor> {
-        let plan = self.config.scheduler.faults.clone()?;
-        let supervisors = Arc::clone(&self.supervisors);
-        Some(Arc::new(move |shard: usize| match plan.decide(FaultSite::ShardCall) {
-            None => {
-                supervisors.record_success(shard);
-                None
-            }
-            Some(FaultKind::Latency(d)) => Some(ShardCallFault::Latency(d)),
-            Some(FaultKind::Error) => {
-                supervisors.record_failure(shard);
-                Some(ShardCallFault::Fail)
-            }
-            Some(FaultKind::Panic) => {
-                supervisors.quarantine(shard);
-                Some(ShardCallFault::Fail)
-            }
+    /// Storage-engine state plus what the last recovery found (`None` on
+    /// volatile shards).
+    pub(crate) fn storage_report(&self) -> Result<Option<StorageReport>> {
+        let state = self.durable.lock();
+        let Some(engine) = &state.engine else { return Ok(None) };
+        let s = engine.stats()?;
+        Ok(Some(StorageReport {
+            dir: engine.dir().display().to_string(),
+            last_seq: s.last_seq,
+            snapshot_seq: s.snapshot_seq,
+            records_since_checkpoint: s.records_since_checkpoint,
+            wal_bytes: s.wal_bytes,
+            segments: s.segments,
+            snapshots: s.snapshots,
+            recovery: state.recovery.clone(),
+            last_checkpoint_error: state.last_checkpoint_error.clone(),
+            append_time: s.append_time,
+            checkpoint_time: s.checkpoint_time,
         }))
     }
 
-    /// Submit a sketched search: scatter-gather rounds across the shards,
-    /// admission-controlled by the coordinator's scheduler exactly like
-    /// [`CentralPlatform::submit`].
-    pub fn submit(
-        &self,
-        request: SketchedRequest,
-        config: Option<SearchConfig>,
-    ) -> Result<SearchSession> {
-        self.submit_with_control(request, config, SearchControl::new())
-    }
-
-    /// [`ShardedPlatform::submit`] with caller-supplied run control. The
-    /// admission semantics (queueing, overload shedding, deadline shedding)
-    /// are the coordinator scheduler's — identical to the single-shard
-    /// platform's.
-    pub fn submit_with_control(
-        &self,
-        request: SketchedRequest,
-        config: Option<SearchConfig>,
-        mut control: SearchControl,
-    ) -> Result<SearchSession> {
-        let cfg = config.unwrap_or_else(|| self.config.default_search.clone());
-        // A search wants every shard: a partial scatter silently changes
-        // selections, so by default any down shard fails the submit
-        // outright (after one supervised recovery attempt for
-        // breaker-quarantined shards). With `degraded_ok` the search
-        // instead proceeds over the live subset and the reply is labeled.
-        let mut missing: Vec<u32> = Vec::new();
-        for i in 0..self.shards.len() {
-            let live = self.available[i].load(Ordering::SeqCst) && {
-                if self.supervisors.state(i) == ShardHealthState::Quarantined {
-                    let _ = self.recover_shard(i);
-                }
-                !matches!(
-                    self.supervisors.state(i),
-                    ShardHealthState::Quarantined | ShardHealthState::Recovering
-                )
-            };
-            if !live {
-                if cfg.degraded_ok {
-                    missing.push(i as u32);
-                } else {
-                    return Err(CoreError::ShardUnavailable { shard: i });
-                }
-            }
-        }
-        if missing.len() == self.shards.len() {
-            // Nothing left to search over; degraded cannot mean "empty".
-            return Err(CoreError::ShardUnavailable { shard: missing[0] as usize });
-        }
-        if self.config.max_concurrent_sessions == 0 {
-            return Err(CoreError::Capacity(0));
-        }
-        let submit_start = Instant::now();
-        self.metrics.searches_started.inc();
-        self.active_sessions.fetch_add(1, Ordering::SeqCst);
-        let guard = SessionGuard(Arc::clone(&self.active_sessions));
-
-        if let Some(wall) = self.config.max_session_wall {
-            control.set_deadline(Instant::now() + wall);
-        }
-        let state = build_sketched_state(&request, &cfg)?;
-        let prepare = submit_start.elapsed();
-        self.metrics.search_prepare.record_duration(prepare);
-        // Scatter enumeration: one frozen corpus snapshot per shard, each
-        // enumerated under its index read lock, merged into the exact
-        // global candidate order a single shard would produce.
-        let enumerate_start = Instant::now();
-        let mut stores = Vec::with_capacity(self.shards.len());
-        let mut sets = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            let corpus = shard.store().frozen();
-            // A missing shard contributes no candidates but keeps its slot
-            // (slice alignment): its empty slice is simply never visited.
-            let set = if missing.contains(&(i as u32)) {
-                CandidateSet::default()
-            } else {
-                let index = shard.index().read();
-                enumerate_candidates(&index, &corpus, &request.profile, &cfg.limits)
-            };
-            stores.push(corpus);
-            sets.push(set);
-        }
-        let names = Arc::clone(self.shard(0).store().dataset_interner());
-        let (assignments, truncated) = merge_shard_candidates(sets, &cfg.limits, &names);
-        let enumerate = enumerate_start.elapsed();
-        self.metrics.search_enumerate.record_duration(enumerate);
-
-        let id = self.session_counter.fetch_add(1, Ordering::SeqCst) + 1;
-        let target = request.task.target.clone();
-        let requester: Arc<str> = Arc::from(request.requester.as_deref().unwrap_or(""));
-
-        let (event_tx, event_rx) = mpsc::channel();
-        let (result_tx, result_rx) = mpsc::sync_channel(1);
-        let worker_control = control.clone();
-        let totals = Arc::clone(&self.totals);
-        let metrics = Arc::clone(&self.metrics);
-        let supervisors = Arc::clone(&self.supervisors);
-        let shard_count = self.shards.len();
-        let interceptor = self.shard_call_interceptor();
-        let spans_base = SpanBreakdown {
-            prepare_ns: duration_ns(prepare),
-            enumerate_ns: duration_ns(enumerate),
-            ..SpanBreakdown::default()
-        };
-        let exec = Box::new(move |mode: ExecMode| {
-            let mut observer = move |ev: SearchEvent| {
-                let _ = event_tx.send(ev);
-            };
-            match mode {
-                ExecMode::Run { queue_wait } => {
-                    let parts: Vec<ShardPartition<'_>> = assignments
-                        .into_iter()
-                        .zip(&stores)
-                        .enumerate()
-                        .map(|(shard, ((candidates, positions), store))| ShardPartition {
-                            shard,
-                            candidates,
-                            positions,
-                            store,
-                        })
-                        .collect();
-                    let (slices, _) = build_shard_slices(&state, parts, cfg.pruning);
-                    let mut search = ScatterSearch::new(cfg.clone());
-                    if let Some(hook) = interceptor {
-                        search = search.with_interceptor(hook);
-                    }
-                    search
-                        .run_observed(
-                            state,
-                            slices,
-                            truncated,
-                            &names,
-                            &worker_control,
-                            &mut observer,
-                        )
-                        .map_err(|e| match e {
-                            // A shard failure without degraded_ok is the
-                            // same typed rejection a down shard gets at
-                            // submit time.
-                            SearchError::ShardFailed { shard } => {
-                                CoreError::ShardUnavailable { shard }
-                            }
-                            other => CoreError::from(other),
-                        })
-                        .and_then(|(outcome, stats)| {
-                            for &ns in &stats.gather_ns {
-                                metrics.shard_gather.record(ns);
-                            }
-                            // Feed the breakers: deadline strikes count
-                            // against a shard, clean participation closes
-                            // its failure run.
-                            for &s in &stats.timeouts {
-                                supervisors.record_timeout(s);
-                            }
-                            for i in 0..shard_count {
-                                if missing.contains(&(i as u32))
-                                    || stats.dead_shards.contains(&i)
-                                    || stats.timeouts.contains(&i)
-                                {
-                                    continue;
-                                }
-                                supervisors.record_success(i);
-                            }
-                            let mut shards_missing = missing.clone();
-                            for &s in &stats.dead_shards {
-                                if !shards_missing.contains(&(s as u32)) {
-                                    shards_missing.push(s as u32);
-                                }
-                            }
-                            shards_missing.sort_unstable();
-                            totals.record(&outcome, stats);
-                            let fit_start = Instant::now();
-                            let model = fit_final_model(&outcome, &target, cfg.lambda)?;
-                            let fit = fit_start.elapsed();
-                            let mut reply = SearchReply::from_outcome(&outcome, &model);
-                            reply.degraded = !shards_missing.is_empty();
-                            reply.shards_missing = shards_missing;
-                            if reply.degraded {
-                                metrics.searches_degraded.inc();
-                            }
-                            reply.spans.prepare_ns = spans_base.prepare_ns;
-                            reply.spans.enumerate_ns = spans_base.enumerate_ns;
-                            reply.spans.queue_wait_ns = duration_ns(queue_wait);
-                            reply.spans.fit_ns = duration_ns(fit);
-                            reply.spans.total_ns = duration_ns(submit_start.elapsed());
-                            record_search_metrics(&metrics, &outcome, &reply);
-                            Ok(reply)
-                        })
-                }
-                ExecMode::Immediate(reason) => {
-                    // Same synthesized zero-round reply as the central
-                    // platform's shed/cancel path.
-                    let base_score = state.current_score().map_err(CoreError::from)?;
-                    observer(SearchEvent::Finished {
-                        stop_reason: reason,
-                        final_score: base_score,
-                        rounds: 0,
-                        evaluations: 0,
-                        bound_skips: 0,
-                        elapsed_ms: 0,
-                    });
-                    let outcome = SearchOutcome {
-                        base_score,
-                        final_score: base_score,
-                        steps: Vec::new(),
-                        evaluations: 0,
-                        bound_skips: 0,
-                        candidates_truncated: 0,
-                        round_eval_ns: Vec::new(),
-                        elapsed: Duration::ZERO,
-                        stop_reason: reason,
-                        state,
-                    };
-                    let model = fit_final_model(&outcome, &target, cfg.lambda)?;
-                    let mut reply = SearchReply::from_outcome(&outcome, &model);
-                    // Even a shed/cancelled zero-round reply is honest
-                    // about the shards it never could have consulted.
-                    reply.degraded = !missing.is_empty();
-                    reply.shards_missing = missing.clone();
-                    reply.spans.prepare_ns = spans_base.prepare_ns;
-                    reply.spans.enumerate_ns = spans_base.enumerate_ns;
-                    reply.spans.total_ns = duration_ns(submit_start.elapsed());
-                    record_search_metrics(&metrics, &outcome, &reply);
-                    Ok(reply)
-                }
-            }
-        });
-        self.sched.admit(SessionJob {
-            requester,
-            control: control.clone(),
-            guard,
-            result_tx,
-            enqueued: Instant::now(),
-            exec,
-        })?;
-        Ok(SearchSession::new(id, control, event_rx, result_rx))
-    }
-}
-
-/// Number of `shard-<i>` subdirectories under `dir` (0 when the directory
-/// does not exist yet).
-fn count_shard_dirs(dir: &std::path::Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            e.path().is_dir()
-                && e.file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("shard-"))
-                    .is_some_and(|i| i.parse::<usize>().is_ok())
-        })
-        .count()
-}
-
-fn similarity(c: &Candidate) -> f64 {
-    match c {
-        Candidate::Join { similarity, .. } | Candidate::Union { similarity, .. } => *similarity,
-    }
-}
-
-/// Per-shard slice of the merged candidate list: the shard's candidates in
-/// global-order restriction, paired with their global positions.
-type ShardCandidates = Vec<(Vec<Candidate>, Vec<usize>)>;
-
-/// Merge per-shard candidate sets into the exact global enumeration order
-/// the single-shard reference produces: joins ranked (descending Jaccard,
-/// ascending name), then unions ranked (descending cosine, ascending name)
-/// — the same total orders the discovery tier sorts with, over globally
-/// unique names — with the per-class limits re-applied across the merged
-/// set. Returns, per shard, its candidates (in global-order restriction)
-/// with their global positions, plus the total truncation count
-/// (per-shard enumeration truncation + merge-time drops).
-fn merge_shard_candidates(
-    sets: Vec<CandidateSet>,
-    limits: &CandidateLimits,
-    names: &DatasetInterner,
-) -> (ShardCandidates, usize) {
-    let num_shards = sets.len();
-    let mut truncated: usize = sets.iter().map(|s| s.truncated()).sum();
-    let mut joins: Vec<(usize, Candidate)> = Vec::new();
-    let mut unions: Vec<(usize, Candidate)> = Vec::new();
-    for (shard, set) in sets.into_iter().enumerate() {
-        for cand in set.candidates {
-            match cand {
-                Candidate::Join { .. } => joins.push((shard, cand)),
-                Candidate::Union { .. } => unions.push((shard, cand)),
-            }
+    /// The discovery index's structural counters.
+    pub(crate) fn discovery_report(&self) -> DiscoveryReport {
+        let d = self.index.read().stats();
+        DiscoveryReport {
+            datasets: d.datasets,
+            key_columns: d.key_columns,
+            lsh_buckets: d.lsh_buckets,
+            schema_buckets: d.schema_buckets,
+            posting_terms: d.posting_terms,
         }
     }
-    let name_of = |c: &Candidate| names.name(c.dataset()).unwrap_or_else(|| Arc::from(""));
-    let rank = |a: &(usize, Candidate), b: &(usize, Candidate)| {
-        similarity(&b.1)
-            .partial_cmp(&similarity(&a.1))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| name_of(&a.1).cmp(&name_of(&b.1)))
-    };
-    joins.sort_by(rank);
-    unions.sort_by(rank);
-    let keep_joins = joins.len().min(limits.max_join);
-    let keep_unions = unions.len().min(limits.max_union);
-    truncated += (joins.len() - keep_joins) + (unions.len() - keep_unions);
 
-    let mut out: Vec<(Vec<Candidate>, Vec<usize>)> =
-        (0..num_shards).map(|_| Default::default()).collect();
-    for (pos, (shard, cand)) in
-        joins.into_iter().take(keep_joins).chain(unions.into_iter().take(keep_unions)).enumerate()
-    {
-        out[shard].0.push(cand);
-        out[shard].1.push(pos);
+    /// What the last `open` recovered (`None` on volatile shards).
+    pub(crate) fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.durable.lock().recovery.clone()
     }
-    (out, truncated)
+
+    /// Join the storage engine's private I/O histograms into a metrics
+    /// report, by name.
+    pub(crate) fn push_io_histograms(&self, report: &mut MetricsReport) {
+        let state = self.durable.lock();
+        if let Some(engine) = &state.engine {
+            let (append, checkpoint) = engine.io_histograms();
+            report.push_histogram("wal_append_ns", append.report());
+            report.push_histogram("snapshot_write_ns", checkpoint.report());
+        }
+    }
+
+    /// Register a provider upload: sketches into the store, profile into
+    /// the discovery index, and — for private uploads — the consumed
+    /// budget into the accountant (rejecting double registration).
+    ///
+    /// This is one arm of the shard's single journaled mutation path
+    /// (register / replace / remove / charge all follow it): validate
+    /// under the mutation lock, journal the op, then apply — so a doomed
+    /// upload is rejected before any mutation or journal entry, and an
+    /// applied mutation is always on disk first. A failed upload therefore
+    /// never leaks spent budget and never leaves a stray store entry or
+    /// index profile behind.
+    pub(crate) fn register(&self, upload: ProviderUpload) -> Result<()> {
+        let mut state = self.durable.lock();
+        let name = upload.sketch.name.clone();
+        // Validate: name free, budget unregistered.
+        if self.store.contains(&name) {
+            return Err(SketchError::DuplicateDataset(name).into());
+        }
+        if upload.budget.is_some() && self.accountant.lock().spent(&name).is_some() {
+            return Err(CoreError::Privacy(format!("dataset {name} already has a budget")));
+        }
+        // Journal, then apply.
+        self.journal(&mut state, WalOpRef::Register { upload: &upload })?;
+        let budget = upload.budget;
+        self.store.register(upload.sketch)?;
+        self.index.write().register(upload.profile);
+        if let Some(budget) = budget {
+            // Infallible after the pre-checks above: the name was free and
+            // the ledger had no entry, so registration cannot conflict and
+            // charging a fresh limit by its own amount cannot exhaust. A
+            // rollback here would be worse than a panic — the op is
+            // already journaled, so undoing the in-memory apply would make
+            // crash recovery resurrect state the caller was told failed.
+            self.accountant
+                .lock()
+                .register_and_charge(&name, budget)
+                .expect("pre-validated: name free and budget unregistered");
+        }
+        self.maybe_auto_checkpoint(&mut state);
+        Ok(())
+    }
+
+    /// Replace a dataset's sketches and profile (provider re-upload after
+    /// local re-transformation), or insert them when the name is new.
+    ///
+    /// A budget on the upload *adds* to the dataset's cumulative privacy
+    /// loss under sequential composition — each new privatized release
+    /// spends fresh budget; replacement never refunds the old release.
+    pub(crate) fn replace(&self, upload: ProviderUpload) -> Result<()> {
+        let mut state = self.durable.lock();
+        let name = upload.sketch.name.clone();
+        self.journal(&mut state, WalOpRef::Replace { upload: &upload })?;
+        let budget = upload.budget;
+        self.store.replace(upload.sketch);
+        self.index.write().replace(upload.profile);
+        if let Some(budget) = budget {
+            self.accountant
+                .lock()
+                .top_up_and_charge(&name, budget)
+                .expect("top_up_and_charge has no failure mode for fresh grants");
+        }
+        self.maybe_auto_checkpoint(&mut state);
+        Ok(())
+    }
+
+    /// Remove a dataset's sketches and profile from the corpus.
+    ///
+    /// The budget ledger entry **survives removal**: the privatized release
+    /// already happened, so its (ε, δ) stays spent — re-registering the
+    /// same name with a fresh budget is still rejected, which is what
+    /// keeps remove/re-upload cycles from laundering budget.
+    pub(crate) fn remove(&self, name: &str) -> Result<()> {
+        let mut state = self.durable.lock();
+        if !self.store.contains(name) {
+            return Err(SketchError::DatasetNotFound(name.to_string()).into());
+        }
+        self.journal(&mut state, WalOpRef::Remove { dataset: name })?;
+        self.store.remove(name)?;
+        self.index.write().remove(name);
+        self.maybe_auto_checkpoint(&mut state);
+        Ok(())
+    }
+
+    /// Grant budget headroom to a dataset without charging it — the
+    /// APM-style flow, where per-query releases then draw it down via
+    /// [`Shard::charge_budget`]. Registers the ledger entry when the
+    /// dataset is unknown, extends the limit otherwise.
+    pub(crate) fn grant_budget(&self, dataset: &str, budget: PrivacyBudget) -> Result<()> {
+        let mut state = self.durable.lock();
+        self.journal(&mut state, WalOpRef::Grant { dataset, budget })?;
+        self.accountant.lock().grant(dataset, budget)?;
+        self.maybe_auto_checkpoint(&mut state);
+        Ok(())
+    }
+
+    /// Charge an additional release against a dataset's budget (APM-style
+    /// per-query accounting). Journaled before it is applied, so a charge
+    /// that was acknowledged is still reflected in `remaining()` after a
+    /// crash — the property that makes the DP guarantee hold across
+    /// restarts.
+    pub(crate) fn charge_budget(&self, dataset: &str, cost: PrivacyBudget) -> Result<()> {
+        let mut state = self.durable.lock();
+        let mut accountant = self.accountant.lock();
+        accountant.check_charge(dataset, cost)?;
+        self.journal(&mut state, WalOpRef::Charge { dataset, cost })?;
+        accountant.charge(dataset, cost).expect("validated by check_charge");
+        drop(accountant);
+        self.maybe_auto_checkpoint(&mut state);
+        Ok(())
+    }
+
+    /// Number of registered datasets.
+    pub fn num_datasets(&self) -> usize {
+        self.store.len()
+    }
+
+    /// The sketch store (read access for benches/inspection).
+    pub fn store(&self) -> &SketchStore {
+        &self.store
+    }
+
+    /// The discovery index (the coordinator enumerates candidates against
+    /// it under its own read lock).
+    pub(crate) fn index(&self) -> &RwLock<DiscoveryIndex> {
+        &self.index
+    }
+
+    /// Dataset names with a budget-ledger entry, including entries whose
+    /// dataset has since been removed (spent budget is spent forever). The
+    /// coordinator rebuilds placement from these so a remove/re-register
+    /// cycle still routes to the shard holding the spend.
+    pub(crate) fn ledger_datasets(&self) -> Vec<String> {
+        self.accountant.lock().entries().into_iter().map(|(name, _, _)| name).collect()
+    }
+
+    /// Budget spent by a registered private dataset (`None` = unknown
+    /// dataset or non-private upload).
+    pub(crate) fn budget_spent(&self, dataset: &str) -> Option<PrivacyBudget> {
+        self.accountant.lock().spent(dataset)
+    }
+
+    /// Budget remaining for a registered private dataset.
+    pub(crate) fn budget_remaining(&self, dataset: &str) -> Result<PrivacyBudget> {
+        Ok(self.accountant.lock().remaining(dataset)?)
+    }
 }

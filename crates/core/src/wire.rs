@@ -267,7 +267,8 @@ pub struct SpanBreakdown {
     pub enumerate_ns: u64,
     /// Admission-queue wait (enqueue → worker dequeue).
     pub queue_wait_ns: u64,
-    /// The search loop itself (greedy or scatter-gather).
+    /// The search loop itself: candidate projection + greedy rounds, on
+    /// every deployment shape.
     pub run_ns: u64,
     /// Time inside `run` spent scoring evaluation rounds.
     pub eval_ns: u64,
@@ -601,8 +602,8 @@ pub struct ShardHealth {
     pub recoveries: u64,
 }
 
-/// Sharded scatter-gather state, wire form (`None` on single-shard
-/// `CentralPlatform` deployments).
+/// Sharded scatter-gather state, wire form (`None` on `CentralPlatform`
+/// deployments, which report their one shard's `storage` instead).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardReport {
     /// Number of shard workers.

@@ -51,6 +51,10 @@ pub struct CachedCandidate {
     /// Valid until a commit changes the feature space — the greedy loop
     /// refreshes entries exactly then.
     pub bound: f64,
+    /// This candidate's index in the candidate vector the cache was built
+    /// from. The search loop maps it to the candidate's position in the
+    /// global enumeration, its cross-partition tie-break key.
+    pub position: usize,
     kind: CachedKind,
 }
 
@@ -141,10 +145,6 @@ impl CachedCandidate {
 #[derive(Debug, Clone, Default)]
 pub struct CandidateCache {
     entries: Vec<CachedCandidate>,
-    /// For each surviving entry, the index it had in the input candidate
-    /// vector (strictly increasing). The sharded scatter loop uses this to
-    /// map per-shard entries back onto the global enumeration order.
-    kept: Vec<usize>,
     /// Candidates whose projection failed outright (missing keyed sketch,
     /// no features to add, missing task columns) — they could never score
     /// under any state, so they are dropped before round 1.
@@ -169,7 +169,8 @@ impl CandidateCache {
         .then(|| state.union_score_bound());
         let projected: Vec<Option<CachedCandidate>> = candidates
             .par_iter()
-            .map(|aug| {
+            .enumerate()
+            .map(|(position, aug)| {
                 let sketch = store.get_by_id(aug.dataset()).ok()?;
                 let (kind, bound) = match aug {
                     Candidate::Join { query_key, candidate_key, .. } => {
@@ -197,30 +198,17 @@ impl CandidateCache {
                         union_bound.unwrap_or(f64::INFINITY),
                     ),
                 };
-                Some(CachedCandidate { aug: aug.clone(), bound, kind })
+                Some(CachedCandidate { aug: aug.clone(), bound, position, kind })
             })
             .collect();
         let total = projected.len();
-        let mut entries = Vec::with_capacity(total);
-        let mut kept = Vec::with_capacity(total);
-        for (input_idx, entry) in projected.into_iter().enumerate() {
-            if let Some(entry) = entry {
-                entries.push(entry);
-                kept.push(input_idx);
-            }
-        }
-        CandidateCache { dropped: total - entries.len(), kept, entries }
+        let entries: Vec<CachedCandidate> = projected.into_iter().flatten().collect();
+        CandidateCache { dropped: total - entries.len(), entries }
     }
 
     /// The cached candidates (ownership passes to the greedy loop).
     pub fn into_entries(self) -> Vec<CachedCandidate> {
         self.entries
-    }
-
-    /// The cached candidates together with the input index each one
-    /// survived from (strictly increasing, parallel to the entries).
-    pub fn into_indexed_entries(self) -> (Vec<CachedCandidate>, Vec<usize>) {
-        (self.entries, self.kept)
     }
 
     /// Number of cached candidates.

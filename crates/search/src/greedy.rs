@@ -1,15 +1,21 @@
-//! The greedy search loop of §2.2.2: evaluate every remaining candidate via
-//! the sketch proxy, commit the best improvement, repeat.
+//! The greedy search of §2.2.2: its vocabulary (stop reasons, run control,
+//! events, outcome), the per-round evaluation plans, and the reference
+//! implementations tests compare against. The loop itself — evaluate every
+//! remaining candidate via the sketch proxy, commit the best improvement,
+//! repeat — lives in [`crate::scatter`]; [`GreedySearch::run_observed`] is
+//! its one-partition case.
 //!
 //! Candidates are projected onto the task feature space **once**, before
-//! round 1 ([`CandidateCache`]); every round then scores pre-projected arena
-//! slabs, optionally in parallel via rayon work-stealing.
+//! round 1 ([`crate::cache::CandidateCache`]); every round then scores
+//! pre-projected arena slabs, optionally in parallel via rayon
+//! work-stealing.
 
-use crate::cache::{CachedCandidate, CandidateCache};
+use crate::cache::CachedCandidate;
 use crate::candidates::{Augmentation, Candidate, CandidateSet};
 use crate::error::Result;
 use crate::proxy::ProxyState;
 use crate::request::{SearchConfig, SketchedRequest};
+use crate::scatter::{ScatterSearch, ShardPartition};
 use mileena_sketch::SketchStore;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -236,117 +242,28 @@ impl GreedySearch {
     /// and deadline), and `observer` receives one [`SearchEvent`] per round
     /// plus start/finish markers. The selected augmentations and scores are
     /// identical to `run` — observation never changes the search.
+    ///
+    /// The loop itself is [`ScatterSearch::run_observed`]; this wraps the
+    /// candidates as its single partition.
     pub fn run_observed(
         &self,
-        mut state: ProxyState,
+        state: ProxyState,
         candidates: impl Into<CandidateSet>,
         store: &SketchStore,
         control: &SearchControl,
         observer: &mut dyn FnMut(SearchEvent),
     ) -> Result<SearchOutcome> {
         let set: CandidateSet = candidates.into();
-        let candidates_truncated = set.truncated();
-        let start = Instant::now();
-        let base_score = state.current_score()?;
-        let mut current = base_score;
-        let mut steps = Vec::new();
-        let mut evaluations = 0usize;
-        let mut bound_skips = 0usize;
-        let mut round_eval_ns = Vec::new();
-
-        // Names resolve only at the event boundary (once per commit); the
-        // loop itself moves interned ids.
-        let names = store.dataset_interner();
-        // Project every candidate once; rounds reuse the projections (and,
-        // with pruning, the admissible score bounds computed alongside).
-        let mut entries = CandidateCache::build(&state, set.candidates, store, self.config.pruning)
-            .into_entries();
-        observer(SearchEvent::Started {
-            candidates: entries.len(),
-            truncated: candidates_truncated,
-        });
-
-        let mut stop_reason = StopReason::MaxAugmentations;
-        for round in 0..self.config.max_augmentations {
-            if control.is_cancelled() {
-                stop_reason = StopReason::Cancelled;
-                break;
-            }
-            if start.elapsed() >= self.config.time_budget || control.deadline_exceeded() {
-                stop_reason = StopReason::TimeBudget;
-                break;
-            }
-            let round_start = Instant::now();
-            let (best, round_evaluated, round_skipped) =
-                self.score_round(&state, &entries, current);
-            round_eval_ns.push(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            evaluations += round_evaluated;
-            bound_skips += round_skipped;
-
-            let Some((best_idx, best_score)) = best else {
-                stop_reason = StopReason::Converged;
-                break;
-            };
-            if best_score - current < self.config.min_gain {
-                stop_reason = StopReason::Converged;
-                break;
-            }
-            // Order-preserving removal: the surviving entries keep their
-            // enumeration order, so tie-breaks stay reproducible for any
-            // runner (the sharded scatter loop mirrors this order per
-            // shard) and `pick_best`'s highest-index rule means
-            // highest-enumeration-rank among the remaining candidates.
-            let entry = entries.remove(best_idx);
-            // Resolve the boundary form first: the commit and its events
-            // share one name materialization per round.
-            let augmentation = entry.aug.resolve(names);
-            entry.apply(&mut state, augmentation.dataset())?;
-            if matches!(entry.aug, Candidate::Join { .. }) {
-                // A join grew the feature space: re-project stale union
-                // entries once now (dropping the ones that can't follow)
-                // and recompute every bound against the new epoch, so
-                // per-evaluation work stays projection-free. The union
-                // ceiling is identical across union entries — solve once.
-                let union_bound = self.config.pruning.then(|| state.union_score_bound());
-                entries.retain_mut(|e| e.refresh(&state, union_bound));
-            }
-            current = best_score;
-            observer(SearchEvent::RoundCommitted {
-                round,
-                augmentation: augmentation.clone(),
-                score_after: best_score,
-                evaluated: round_evaluated,
-                bound_skipped: round_skipped,
-                remaining: entries.len(),
-                elapsed_ms: start.elapsed().as_millis() as u64,
-            });
-            steps.push(SelectionStep {
-                augmentation,
-                score_after: best_score,
-                elapsed: start.elapsed(),
-            });
-        }
-
-        observer(SearchEvent::Finished {
-            stop_reason,
-            final_score: current,
-            rounds: steps.len(),
-            evaluations,
-            bound_skips,
-            elapsed_ms: start.elapsed().as_millis() as u64,
-        });
-        Ok(SearchOutcome {
-            base_score,
-            final_score: current,
-            steps,
-            evaluations,
-            bound_skips,
-            candidates_truncated,
-            round_eval_ns,
-            elapsed: start.elapsed(),
-            stop_reason,
-            state,
-        })
+        let truncated = set.truncated();
+        let part = ShardPartition {
+            shard: 0,
+            positions: (0..set.candidates.len()).collect(),
+            candidates: set.candidates,
+            store,
+        };
+        ScatterSearch::new(self.config.clone())
+            .run_observed(state, vec![part], truncated, store.dataset_interner(), control, observer)
+            .map(|(outcome, _)| outcome)
     }
 
     /// Score one greedy round over cached entries with the configured plan
@@ -354,7 +271,7 @@ impl GreedySearch {
     /// exhaustive tie semantics plus `(evaluated, bound_skipped)` counts.
     /// `current` is the incumbent score pruning must beat (the state's
     /// current proxy score). Public so benches can track per-round cost in
-    /// isolation; the search loop itself goes through here.
+    /// isolation; the search loop scores every partition through here.
     pub fn score_round(
         &self,
         state: &ProxyState,
@@ -779,16 +696,13 @@ mod tests {
         assert!(total_skips > 0, "pruning should actually skip work on these corpora");
     }
 
-    #[test]
-    fn pruned_parity_survives_collinear_candidates() {
-        // Degenerate corpus: providers whose features are exact copies of
-        // each other and of the requester's base feature, so staged test
-        // systems go singular and the λ = 0 ceiling solve is as
-        // ill-conditioned as it gets. The λ-matched term of the ceiling
-        // must keep the bound admissible: selections and scores stay
-        // bit-identical to the exhaustive plan.
+    /// Degenerate corpus: providers whose features are exact copies of
+    /// each other (`sig`/`copy`/`copy2`) and of the requester's base
+    /// feature (`echo`), so staged test systems go singular, the λ = 0
+    /// ceiling solve is as ill-conditioned as it gets, and the duplicates
+    /// score exactly equal.
+    fn collinear_corpus() -> (ProxyState, CandidateSet, SketchStore) {
         use mileena_relation::RelationBuilder;
-        use mileena_sketch::build_sketch;
 
         let zones: Vec<i64> = (0..60).collect();
         let latent: Vec<f64> =
@@ -803,8 +717,6 @@ mod tests {
             .unwrap();
         let store = SketchStore::new();
         let mut index = DiscoveryIndex::new(DiscoveryConfig::default());
-        // sig carries signal; copy/copy2 are exact duplicates of sig;
-        // echo duplicates the requester's own base feature.
         for (name, col) in
             [("sig", &latent), ("copy", &latent), ("copy2", &latent), ("echo", &base)]
         {
@@ -831,7 +743,15 @@ mod tests {
             &crate::candidates::CandidateLimits::default(),
         );
         assert!(candidates.len() >= 4, "all degenerate providers must be candidates");
+        (state, candidates, store)
+    }
 
+    #[test]
+    fn pruned_parity_survives_collinear_candidates() {
+        // The λ-matched term of the ceiling must keep the bound admissible
+        // on the degenerate corpus: selections and scores stay
+        // bit-identical to the exhaustive plan.
+        let (state, candidates, store) = collinear_corpus();
         let pruned = GreedySearch::new(SearchConfig::default())
             .run(state.clone(), candidates.clone(), &store)
             .unwrap();
@@ -844,6 +764,58 @@ mod tests {
         );
         assert_eq!(pruned.final_score, exhaustive.final_score);
         assert_eq!(pruned.stop_reason, exhaustive.stop_reason);
+    }
+
+    #[test]
+    fn cross_partition_exact_ties_break_on_enumeration_position() {
+        // The duplicates tie exactly, so the round winner is decided by the
+        // gather tie-break alone. Spread the tied candidates over different
+        // partitions, in every rotation (so the highest-positioned one is
+        // visited first, in the middle and last): selections and scores
+        // must equal the one-partition run.
+        let (state, set, store) = collinear_corpus();
+        for pruning in [true, false] {
+            let cfg = SearchConfig { pruning, ..Default::default() };
+            let reference =
+                GreedySearch::new(cfg.clone()).run(state.clone(), set.clone(), &store).unwrap();
+            assert!(!reference.steps.is_empty(), "the tied signal must be selected");
+            for s in [2usize, 3] {
+                for rotation in 0..s {
+                    let parts = crate::scatter::partition_by(&set, &store, s, |pos, _| {
+                        (pos + rotation) % s
+                    });
+                    let (scattered, _) = ScatterSearch::new(cfg.clone())
+                        .run_observed(
+                            state.clone(),
+                            parts,
+                            set.truncated(),
+                            store.dataset_interner(),
+                            &SearchControl::new(),
+                            &mut |_| {},
+                        )
+                        .unwrap();
+                    let tag = format!("S={s}, rotation={rotation}, pruning={pruning}");
+                    assert_eq!(
+                        scattered
+                            .steps
+                            .iter()
+                            .map(|st| st.augmentation.describe())
+                            .collect::<Vec<_>>(),
+                        reference
+                            .steps
+                            .iter()
+                            .map(|st| st.augmentation.describe())
+                            .collect::<Vec<_>>(),
+                        "selections ({tag})"
+                    );
+                    for (a, b) in scattered.steps.iter().zip(&reference.steps) {
+                        assert_eq!(a.score_after, b.score_after, "per-step score ({tag})");
+                    }
+                    assert_eq!(scattered.final_score, reference.final_score, "{tag}");
+                    assert_eq!(scattered.stop_reason, reference.stop_reason, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! - candidate *evaluation* composes sketches — O(1) per union, O(d) per
 //!   join — and trains the ridge proxy on the resulting sufficient
 //!   statistics ([`proxy`]);
-//! - [`greedy`] runs the paper's greedy loop: evaluate all remaining
-//!   candidates, take the best improvement, re-base, repeat;
+//! - [`scatter`] runs the paper's greedy loop — evaluate all remaining
+//!   candidates, take the best improvement, re-base, repeat — over one or
+//!   many candidate partitions; [`greedy`] holds its vocabulary, round
+//!   plans and reference implementations;
 //! - [`arda`] and [`novelty`] are the retrain-based and novelty-based
 //!   baselines of Figure 4; [`modes`] wires the FPM/APM/TPM privacy
 //!   variants of Figure 5.
@@ -43,6 +45,5 @@ pub use greedy::{
 pub use proxy::ProxyState;
 pub use request::{SearchConfig, SearchRequest, SketchedRequest, TaskSpec};
 pub use scatter::{
-    build_shard_slices, ScatterSearch, ScatterStats, ShardCallFault, ShardCallInterceptor,
-    ShardPartition, ShardSlice,
+    ScatterSearch, ScatterStats, ShardCallFault, ShardCallInterceptor, ShardPartition,
 };

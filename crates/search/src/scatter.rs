@@ -1,29 +1,35 @@
-//! Scatter-gather greedy rounds over sharded candidate slices.
+//! The greedy search loop of §2.2.2 — evaluate every remaining candidate
+//! via the sketch proxy, commit the best improvement, repeat — over
+//! partitioned candidates.
 //!
-//! The sharded platform partitions the corpus across S shard workers; a
-//! search then holds one [`ShardSlice`] per shard — that shard's projected
-//! candidates in global enumeration order, each tagged with its *global
-//! rank* (the index it would have in the single-shard entry vector). Every
-//! round scatters [`GreedySearch::score_round`] to the shards and gathers
-//! the per-shard winners into one global incumbent.
+//! Every search runs this one loop. A platform partitions the corpus across
+//! S shards, and a search holds one slice per shard: that shard's candidates
+//! in global enumeration order, each carrying its *position* in that
+//! enumeration. Every round scatters [`GreedySearch::score_round`] to the
+//! slices and gathers the per-slice winners into one global incumbent.
+//! [`GreedySearch::run_observed`] is the one-partition call into it.
 //!
-//! **Why selections stay bit-identical to the single-shard reference:**
+//! **Why selections do not depend on the partitioning:**
 //!
-//! - Per-shard entry order is the global enumeration order restricted to
-//!   the shard, and the single-shard loop removes committed entries
-//!   order-preservingly, so shard-local index order always agrees with
-//!   global rank order. `score_round`'s tie rule (max score, ties to the
-//!   highest index) therefore yields, per shard, the highest-ranked member
-//!   of that shard's tied set — and the gather rule (max score, ties to
-//!   the largest global rank) recovers exactly the single-shard winner.
+//! - The reference rule is `score_round`'s over the whole candidate list:
+//!   max score, ties to the highest index among the remaining entries.
+//!   Removing a committed entry or dropping one at refresh preserves order,
+//!   so an entry's index among the remaining entries is a strictly monotone
+//!   function of its immutable enumeration position: comparing positions
+//!   compares indexes. Per slice, `score_round` therefore yields the
+//!   highest-positioned member of that slice's tied set, and the gather rule
+//!   (max score, ties to the largest position) recovers exactly the
+//!   one-partition winner.
 //! - Candidate scores are pure functions of the proxy state and the
-//!   candidate's projection, independent of which shard holds them.
-//! - Cross-shard pruning only ever skips a shard whose score ceiling is
+//!   candidate's projection, independent of which slice holds them.
+//! - Cross-slice pruning only ever skips a slice whose score ceiling is
 //!   *strictly* below the running incumbent (scores never exceed their
 //!   admissible bound, so nothing skipped could have won **or tied**), or
 //!   whose ceiling cannot clear `min_gain` (then its candidates could only
 //!   be round maxima that converge the loop — which the gathered winner
-//!   then does too, at the same committed state).
+//!   then does too, at the same committed state). At one partition the gate
+//!   fires exactly when the pruned round plan's first bound fails the same
+//!   two tests, so the counters match too.
 
 use crate::cache::{CachedCandidate, CandidateCache};
 use crate::candidates::Candidate;
@@ -40,7 +46,7 @@ use std::time::{Duration, Instant};
 
 /// One shard's share of a search's candidates, pre-projection.
 pub struct ShardPartition<'a> {
-    /// Shard index (for diagnostics; slices keep it).
+    /// Shard index (reported in [`ScatterStats`] and shard-call faults).
     pub shard: usize,
     /// The shard's candidates, in global enumeration order restricted to
     /// this shard.
@@ -51,23 +57,17 @@ pub struct ShardPartition<'a> {
     pub store: &'a SketchStore,
 }
 
-/// One shard's projected candidates, ready for scatter rounds.
-#[derive(Debug)]
-pub struct ShardSlice {
-    /// Shard index.
-    pub shard: usize,
-    /// Projected candidates, in global enumeration order restricted to
-    /// this shard.
-    pub entries: Vec<CachedCandidate>,
-    /// Parallel to `entries`: each entry's index in the single-shard
-    /// reference entry vector (strictly increasing; maintained across
-    /// commits and refresh drops).
-    pub ranks: Vec<usize>,
+/// One partition's projected candidates, in global enumeration order
+/// restricted to the partition; `position` on each entry is global.
+struct Slice {
+    shard: usize,
+    entries: Vec<CachedCandidate>,
 }
 
-impl ShardSlice {
-    /// The shard's current score ceiling: the max admissible bound over
-    /// its remaining entries (`-∞` when empty).
+impl Slice {
+    /// The slice's current score ceiling: the max admissible bound over
+    /// its remaining entries (`-∞` when empty; `+∞` in exhaustive mode,
+    /// whose entries carry no bounds, so the ceiling gate never fires).
     fn ceiling(&self) -> f64 {
         self.entries.iter().map(|e| e.bound).fold(f64::NEG_INFINITY, f64::max)
     }
@@ -130,48 +130,8 @@ impl ScatterStats {
     }
 }
 
-/// Project each shard partition once and tag every surviving entry with
-/// its global rank (its index in the single-shard reference entry vector).
-/// Returns the slices (in ascending shard order, as given) plus the total
-/// count of candidates dropped at projection.
-///
-/// Drop decisions are per-candidate (state + sketch), so the surviving set
-/// — and therefore the rank assignment — is identical to what one
-/// [`CandidateCache::build`] over the concatenated global list keeps.
-pub fn build_shard_slices(
-    state: &ProxyState,
-    parts: Vec<ShardPartition<'_>>,
-    compute_bounds: bool,
-) -> (Vec<ShardSlice>, usize) {
-    let mut dropped = 0usize;
-    let mut raw: Vec<(usize, Vec<CachedCandidate>, Vec<usize>)> = Vec::with_capacity(parts.len());
-    for part in parts {
-        let cache = CandidateCache::build(state, part.candidates, part.store, compute_bounds);
-        dropped += cache.dropped;
-        let (entries, kept) = cache.into_indexed_entries();
-        let positions: Vec<usize> = kept.into_iter().map(|k| part.positions[k]).collect();
-        raw.push((part.shard, entries, positions));
-    }
-    // Global rank = index within the sorted surviving global positions.
-    let mut survivors: Vec<usize> =
-        raw.iter().flat_map(|(_, _, positions)| positions.iter().copied()).collect();
-    survivors.sort_unstable();
-    let slices = raw
-        .into_iter()
-        .map(|(shard, entries, positions)| {
-            let ranks = positions
-                .into_iter()
-                .map(|p| survivors.binary_search(&p).expect("own position is a survivor"))
-                .collect();
-            ShardSlice { shard, entries, ranks }
-        })
-        .collect();
-    (slices, dropped)
-}
-
-/// The scatter-gather searcher: drives the same greedy loop as
-/// [`GreedySearch::run_observed`], with each round's candidate evaluation
-/// scattered across shard slices.
+/// The searcher behind every deployment shape: drives the greedy loop with
+/// each round's candidate evaluation scattered across partitions.
 #[derive(Clone, Default)]
 pub struct ScatterSearch {
     config: SearchConfig,
@@ -200,14 +160,21 @@ impl ScatterSearch {
         self
     }
 
-    /// Run the loop over shard slices. `candidates_truncated` is the
-    /// enumeration-time truncation count (reported, like the single-shard
-    /// path, through the `Started` event and the outcome); `names`
-    /// resolves committed ids at the event boundary.
+    /// Run the loop over candidate partitions (given in ascending shard
+    /// order). `control` is checked at every round boundary (cancellation
+    /// and deadline) and `observer` receives one [`SearchEvent`] per
+    /// committed round plus start/finish markers. `candidates_truncated`
+    /// is the enumeration-time truncation count, reported through the
+    /// `Started` event and the outcome; `names` resolves committed ids at
+    /// the event boundary.
+    ///
+    /// Candidates that error (no key overlap, stale key, missing columns,
+    /// excessive fan-out) are dropped silently — they are expected in a
+    /// heterogeneous corpus.
     pub fn run_observed(
         &self,
         mut state: ProxyState,
-        mut slices: Vec<ShardSlice>,
+        parts: Vec<ShardPartition<'_>>,
         candidates_truncated: usize,
         names: &DatasetInterner,
         control: &SearchControl,
@@ -221,9 +188,24 @@ impl ScatterSearch {
         let mut bound_skips = 0usize;
         let mut round_eval_ns = Vec::new();
         let mut stats = ScatterStats::default();
-        // Per-shard scoring reuses the single-shard round plan verbatim.
         let round_plan = GreedySearch::new(self.config.clone());
 
+        // Project every candidate once, inside the clock; rounds reuse the
+        // projections (and, with pruning, the admissible score bounds
+        // computed alongside). Drop decisions are per-candidate (state +
+        // sketch), so the surviving set does not depend on the partitioning.
+        let mut slices: Vec<Slice> = parts
+            .into_iter()
+            .map(|part| {
+                let mut entries =
+                    CandidateCache::build(&state, part.candidates, part.store, self.config.pruning)
+                        .into_entries();
+                for entry in &mut entries {
+                    entry.position = part.positions[entry.position];
+                }
+                Slice { shard: part.shard, entries }
+            })
+            .collect();
         observer(SearchEvent::Started {
             candidates: slices.iter().map(|s| s.entries.len()).sum(),
             truncated: candidates_truncated,
@@ -246,21 +228,19 @@ impl ScatterSearch {
             stats.rounds += 1;
             let round_start = Instant::now();
 
-            // Scatter: visit shards in descending-ceiling order (shard id
+            // Scatter: visit slices in descending-ceiling order (shard id
             // ascending on ties) so the pruning gate sees the strongest
-            // incumbent as early as possible; a shard whose ceiling cannot
+            // incumbent as early as possible; a slice whose ceiling cannot
             // beat it returns nothing for this round.
+            let ceilings: Vec<f64> = slices.iter().map(Slice::ceiling).collect();
             let mut order: Vec<usize> = (0..slices.len()).collect();
-            if self.config.pruning {
-                order.sort_by(|&a, &b| {
-                    slices[b]
-                        .ceiling()
-                        .partial_cmp(&slices[a].ceiling())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-            }
-            // Gathered winner: (score, global rank, slice index, local index).
+            order.sort_by(|&a, &b| {
+                ceilings[b]
+                    .partial_cmp(&ceilings[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            // Gathered winner: (score, position, slice index, local index).
             let mut winner: Option<(f64, usize, usize, usize)> = None;
             let mut round_evaluated = 0usize;
             let mut round_skipped = 0usize;
@@ -272,14 +252,11 @@ impl ScatterSearch {
                 if slice.entries.is_empty() {
                     continue;
                 }
-                if self.config.pruning {
-                    let ceiling = slice.ceiling();
-                    let beaten = winner.is_some_and(|(score, ..)| ceiling < score);
-                    if beaten || ceiling - current < self.config.min_gain {
-                        stats.cross_shard_skips += 1;
-                        round_skipped += slice.entries.len();
-                        continue;
-                    }
+                let beaten = winner.is_some_and(|(score, ..)| ceilings[si] < score);
+                if beaten || ceilings[si] - current < self.config.min_gain {
+                    stats.cross_shard_skips += 1;
+                    round_skipped += slice.entries.len();
+                    continue;
                 }
                 stats.shard_rounds += 1;
                 let shard_start = Instant::now();
@@ -316,15 +293,15 @@ impl ScatterSearch {
                 round_evaluated += evaluated;
                 round_skipped += skipped;
                 if let Some((local_idx, score)) = best {
-                    let rank = slice.ranks[local_idx];
+                    let position = slice.entries[local_idx].position;
                     let better = match winner {
                         None => true,
-                        Some((w_score, w_rank, ..)) => {
-                            score > w_score || (score == w_score && rank > w_rank)
+                        Some((w_score, w_position, ..)) => {
+                            score > w_score || (score == w_score && position > w_position)
                         }
                     };
                     if better {
-                        winner = Some((score, rank, si, local_idx));
+                        winner = Some((score, position, si, local_idx));
                     }
                 }
             }
@@ -337,7 +314,7 @@ impl ScatterSearch {
                 }
             }
 
-            let Some((best_score, best_rank, si, local_idx)) = winner else {
+            let Some((best_score, _, si, local_idx)) = winner else {
                 stop_reason = StopReason::Converged;
                 break;
             };
@@ -346,50 +323,22 @@ impl ScatterSearch {
                 break;
             }
 
-            // Commit on the coordinator; the winning entry leaves its
-            // slice order-preservingly and every higher rank shifts down,
-            // mirroring the single-shard `entries.remove(best_idx)`.
+            // Order-preserving removal: the surviving entries keep their
+            // enumeration order, so tie-breaks stay reproducible.
             let entry = slices[si].entries.remove(local_idx);
-            slices[si].ranks.remove(local_idx);
-            for slice in &mut slices {
-                for rank in &mut slice.ranks {
-                    if *rank > best_rank {
-                        *rank -= 1;
-                    }
-                }
-            }
+            // Resolve the boundary form first: the commit and its events
+            // share one name materialization per round.
             let augmentation = entry.aug.resolve(names);
             entry.apply(&mut state, augmentation.dataset())?;
             if matches!(entry.aug, Candidate::Join { .. }) {
-                // Lockstep refresh: the same entries the single-shard loop
-                // would drop (re-projection failure after the feature
-                // space grew) leave their slices, and surviving ranks
-                // compact exactly like the reference retain.
+                // A join grew the feature space: re-project stale union
+                // entries once now (dropping the ones that can't follow)
+                // and recompute every bound against the new epoch, so
+                // per-evaluation work stays projection-free. The union
+                // ceiling is identical across union entries — solve once.
                 let union_bound = self.config.pruning.then(|| state.union_score_bound());
-                let mut dropped_ranks: Vec<usize> = Vec::new();
                 for slice in &mut slices {
-                    let mut keep_entries = Vec::with_capacity(slice.entries.len());
-                    let mut keep_ranks = Vec::with_capacity(slice.ranks.len());
-                    for (mut e, rank) in
-                        slice.entries.drain(..).zip(slice.ranks.drain(..)).collect::<Vec<_>>()
-                    {
-                        if e.refresh(&state, union_bound) {
-                            keep_entries.push(e);
-                            keep_ranks.push(rank);
-                        } else {
-                            dropped_ranks.push(rank);
-                        }
-                    }
-                    slice.entries = keep_entries;
-                    slice.ranks = keep_ranks;
-                }
-                if !dropped_ranks.is_empty() {
-                    dropped_ranks.sort_unstable();
-                    for slice in &mut slices {
-                        for rank in &mut slice.ranks {
-                            *rank -= dropped_ranks.partition_point(|&d| d < *rank);
-                        }
-                    }
+                    slice.entries.retain_mut(|e| e.refresh(&state, union_bound));
                 }
             }
             // Drop struck-out shards' remaining candidates: the rest of
@@ -397,7 +346,6 @@ impl ScatterSearch {
             // labels the reply `degraded` with these shards missing).
             for &si in &struck_out {
                 slices[si].entries.clear();
-                slices[si].ranks.clear();
             }
             current = best_score;
             observer(SearchEvent::RoundCommitted {
@@ -443,6 +391,27 @@ impl ScatterSearch {
     }
 }
 
+/// Test harness: split an enumerated set into `s` fake shards (every shard
+/// sees the same store), sending the candidate at enumeration position
+/// `pos` to shard `assign(pos, candidate)`.
+#[cfg(test)]
+pub(crate) fn partition_by<'a>(
+    set: &crate::candidates::CandidateSet,
+    store: &'a SketchStore,
+    s: usize,
+    assign: impl Fn(usize, &Candidate) -> usize,
+) -> Vec<ShardPartition<'a>> {
+    let mut parts: Vec<ShardPartition<'_>> = (0..s)
+        .map(|shard| ShardPartition { shard, candidates: Vec::new(), positions: Vec::new(), store })
+        .collect();
+    for (pos, cand) in set.candidates.iter().enumerate() {
+        let part = &mut parts[assign(pos, cand)];
+        part.candidates.push(cand.clone());
+        part.positions.push(pos);
+    }
+    parts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,10 +422,18 @@ mod tests {
     use mileena_discovery::{DatasetProfile, DiscoveryConfig, DiscoveryIndex};
     use mileena_sketch::{build_sketch, SketchConfig};
 
+    /// Partition an enumerated set round-robin-by-id into `s` fake shards.
+    fn partition<'a>(
+        set: &crate::candidates::CandidateSet,
+        store: &'a SketchStore,
+        s: usize,
+    ) -> Vec<ShardPartition<'a>> {
+        partition_by(set, store, s, |_, cand| cand.dataset().index() % s)
+    }
+
     /// Single-process harness: one store/index, candidates partitioned
-    /// round-robin-by-id into `s` fake shards (every shard sees the same
-    /// store). Pins the scatter loop's parity independent of the platform
-    /// layer's real partitioning.
+    /// into `s` fake shards. Pins the scatter loop's parity independent of
+    /// the platform layer's real partitioning.
     fn scatter_matches_reference(s: usize, seed: u64) {
         let cfg = CorpusConfig {
             num_datasets: 30,
@@ -494,24 +471,10 @@ mod tests {
         let reference =
             GreedySearch::new(search_cfg.clone()).run(state.clone(), set.clone(), &store).unwrap();
 
-        let mut parts: Vec<ShardPartition<'_>> = (0..s)
-            .map(|shard| ShardPartition {
-                shard,
-                candidates: Vec::new(),
-                positions: Vec::new(),
-                store: &store,
-            })
-            .collect();
-        for (pos, cand) in set.candidates.iter().enumerate() {
-            let shard = cand.dataset().index() % s;
-            parts[shard].candidates.push(cand.clone());
-            parts[shard].positions.push(pos);
-        }
-        let (slices, _) = build_shard_slices(&state, parts, search_cfg.pruning);
         let (sharded, stats) = ScatterSearch::new(search_cfg)
             .run_observed(
                 state,
-                slices,
+                partition(&set, &store, s),
                 truncated,
                 store.dataset_interner(),
                 &SearchControl::new(),
@@ -579,40 +542,17 @@ mod tests {
         (store, state, set)
     }
 
-    fn slices_of(
-        state: &ProxyState,
-        set: &crate::candidates::CandidateSet,
-        store: &SketchStore,
-        pruning: bool,
-    ) -> Vec<ShardSlice> {
-        let mut parts: Vec<ShardPartition<'_>> = (0..3)
-            .map(|shard| ShardPartition {
-                shard,
-                candidates: Vec::new(),
-                positions: Vec::new(),
-                store,
-            })
-            .collect();
-        for (pos, cand) in set.candidates.iter().enumerate() {
-            let shard = cand.dataset().index() % 3;
-            parts[shard].candidates.push(cand.clone());
-            parts[shard].positions.push(pos);
-        }
-        build_shard_slices(state, parts, pruning).0
-    }
-
     #[test]
     fn injected_shard_failure_fails_fast_by_default() {
         let search_cfg = SearchConfig::default();
         let (store, state, set) = fault_harness(&search_cfg);
-        let slices = slices_of(&state, &set, &store, search_cfg.pruning);
         let interceptor: ShardCallInterceptor =
             Arc::new(|shard| (shard == 1).then_some(ShardCallFault::Fail));
         let err = ScatterSearch::new(search_cfg)
             .with_interceptor(interceptor)
             .run_observed(
                 state,
-                slices,
+                partition(&set, &store, 3),
                 0,
                 store.dataset_interner(),
                 &SearchControl::new(),
@@ -626,7 +566,6 @@ mod tests {
     fn degraded_search_drops_failed_shard_and_terminates() {
         let search_cfg = SearchConfig { degraded_ok: true, ..Default::default() };
         let (store, state, set) = fault_harness(&search_cfg);
-        let slices = slices_of(&state, &set, &store, search_cfg.pruning);
         let interceptor: ShardCallInterceptor =
             Arc::new(|shard| (shard == 1).then_some(ShardCallFault::Fail));
         let state2 = state.clone();
@@ -634,7 +573,7 @@ mod tests {
             .with_interceptor(interceptor)
             .run_observed(
                 state,
-                slices,
+                partition(&set, &store, 3),
                 0,
                 store.dataset_interner(),
                 &SearchControl::new(),
@@ -645,9 +584,9 @@ mod tests {
         assert!(outcome.final_score.is_finite());
         // The degraded run equals the reference over the live subset: a
         // search whose slices never contained shard 1's candidates.
-        let mut live = slices_of(&state2, &set, &store, search_cfg.pruning);
-        live[1].entries.clear();
-        live[1].ranks.clear();
+        let mut live = partition(&set, &store, 3);
+        live[1].candidates.clear();
+        live[1].positions.clear();
         let (subset, _) = ScatterSearch::new(search_cfg)
             .run_observed(
                 state2,
@@ -670,7 +609,6 @@ mod tests {
     fn deadline_blow_records_timeout_strikes() {
         let search_cfg = SearchConfig { shard_deadline_ms: 1, ..Default::default() };
         let (store, state, set) = fault_harness(&search_cfg);
-        let slices = slices_of(&state, &set, &store, search_cfg.pruning);
         let interceptor: ShardCallInterceptor = Arc::new(|shard| {
             (shard == 2).then_some(ShardCallFault::Latency(Duration::from_millis(5)))
         });
@@ -678,7 +616,7 @@ mod tests {
             .with_interceptor(interceptor)
             .run_observed(
                 state,
-                slices,
+                partition(&set, &store, 3),
                 0,
                 store.dataset_interner(),
                 &SearchControl::new(),
@@ -733,24 +671,10 @@ mod tests {
         let set = enumerate_candidates(&index, &store, &profile, &CandidateLimits::default());
         let reference =
             GreedySearch::new(search_cfg.clone()).run(state.clone(), set.clone(), &store).unwrap();
-        let mut parts: Vec<ShardPartition<'_>> = (0..3)
-            .map(|shard| ShardPartition {
-                shard,
-                candidates: Vec::new(),
-                positions: Vec::new(),
-                store: &store,
-            })
-            .collect();
-        for (pos, cand) in set.candidates.iter().enumerate() {
-            let shard = cand.dataset().index() % 3;
-            parts[shard].candidates.push(cand.clone());
-            parts[shard].positions.push(pos);
-        }
-        let (slices, _) = build_shard_slices(&state, parts, false);
         let (sharded, stats) = ScatterSearch::new(search_cfg)
             .run_observed(
                 state,
-                slices,
+                partition(&set, &store, 3),
                 0,
                 store.dataset_interner(),
                 &SearchControl::new(),

@@ -10,7 +10,8 @@ use mileena::core::{
 };
 use mileena::datagen::{generate_corpus, CorpusConfig, NycCorpus};
 use mileena::search::{
-    SearchConfig, SearchControl, SearchEvent, SketchedRequest, StopReason, TaskSpec,
+    CandidateLimits, SearchConfig, SearchControl, SearchEvent, SketchedRequest, StopReason,
+    TaskSpec,
 };
 use mileena::storage::{FaultKind, FaultPlan, FaultSite};
 use std::sync::Arc;
@@ -317,10 +318,16 @@ fn cancellation_and_deadline_expiry_while_queued_never_run_a_round() {
     s2.cancel();
 
     // Session 3 also queues behind the stall, with a deadline that
-    // expires while it waits: the preflight must shed it at dequeue.
+    // expires while it waits: the preflight must shed it at dequeue. Its
+    // tight candidate limits truncate the enumeration, which already ran
+    // at submit time.
+    let tight = SearchConfig {
+        limits: CandidateLimits { max_join: 1, max_union: 0 },
+        ..Default::default()
+    };
     let mut control = SearchControl::new();
     control.set_deadline(Instant::now() + Duration::from_millis(50));
-    let s3 = platform.submit_with_control(sketched(&c), None, control).unwrap();
+    let s3 = platform.submit_with_control(sketched(&c), Some(tight.clone()), control).unwrap();
 
     let mut s2_events = Vec::new();
     let r2 = s2.wait_with(|ev| s2_events.push(ev)).unwrap();
@@ -347,6 +354,12 @@ fn cancellation_and_deadline_expiry_while_queued_never_run_a_round() {
     assert!(stats.scheduler.shed_deadline >= 1);
     assert_eq!(stats.scheduler.stops.cancelled, 1);
     assert_eq!(stats.scheduler.stops.shed, 1);
+
+    // The shed reply is honest about truncation: it reports what an unshed
+    // search of the same request reports.
+    let unshed = in_process.search(sketched(&c), Some(tight)).unwrap();
+    assert!(unshed.candidates_truncated > 0, "the tight limits must truncate this corpus");
+    assert_eq!(r3.candidates_truncated, unshed.candidates_truncated);
 }
 
 #[test]
