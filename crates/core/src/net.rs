@@ -427,8 +427,8 @@ fn maybe_log_slow(
         concat!(
             "{{\"session\":{},\"request_id\":{},\"stop_reason\":\"{:?}\",",
             "\"evaluations\":{},\"rounds\":{},\"total_ns\":{},\"prepare_ns\":{},",
-            "\"enumerate_ns\":{},\"queue_wait_ns\":{},\"run_ns\":{},\"eval_ns\":{},",
-            "\"fit_ns\":{}}}"
+            "\"enumerate_ns\":{},\"queue_wait_ns\":{},\"run_ns\":{},\"cache_build_ns\":{},",
+            "\"eval_ns\":{},\"refresh_ns\":{},\"fit_ns\":{}}}"
         ),
         session,
         request_id,
@@ -440,7 +440,9 @@ fn maybe_log_slow(
         s.enumerate_ns,
         s.queue_wait_ns,
         s.run_ns,
+        s.cache_build_ns,
         s.eval_ns,
+        s.refresh_ns,
         s.fit_ns,
     ));
 }

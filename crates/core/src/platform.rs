@@ -1054,6 +1054,8 @@ impl<L: Layout> Platform<L> {
                         bound_skips: 0,
                         candidates_truncated: truncated,
                         round_eval_ns: Vec::new(),
+                        cache_build_ns: 0,
+                        refresh_ns: 0,
                         elapsed: Duration::ZERO,
                         stop_reason: reason,
                         state,
@@ -1165,6 +1167,7 @@ fn record_search_metrics(metrics: &Metrics, outcome: &SearchOutcome, reply: &Sea
     for &ns in &outcome.round_eval_ns {
         metrics.search_eval_round.record(ns);
     }
+    metrics.search_bound_refresh.record(outcome.refresh_ns);
     metrics.search_evaluations.add(outcome.evaluations as u64);
     metrics.search_bound_skips.add(outcome.bound_skips as u64);
     metrics.search_candidates_truncated.add(outcome.candidates_truncated as u64);

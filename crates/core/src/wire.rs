@@ -254,9 +254,11 @@ pub struct ModelReply {
 /// `prepare` (validation + sketched-state build), `enumerate` (candidate
 /// enumeration under the discovery index read lock), `queue_wait`
 /// (admission queue), `run` (the greedy/scatter loop), and `fit` (final
-/// model fit) sum to within measurement error of `total`. `eval` is the
-/// portion of `run` spent scoring rounds — informational, not part of the
-/// partition.
+/// model fit) sum to within measurement error of `total`. `cache_build`
+/// (candidate projection + first bounds), `eval` (scoring rounds) and
+/// `refresh` (bound refresh + union re-projection after join commits) are
+/// the portions of `run` spent in those stages — informational, not part
+/// of the partition; together they cover `run` up to the commits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanBreakdown {
     /// Submit receipt → reply built.
@@ -272,14 +274,23 @@ pub struct SpanBreakdown {
     pub run_ns: u64,
     /// Time inside `run` spent scoring evaluation rounds.
     pub eval_ns: u64,
+    /// Time inside `run` spent projecting candidates and computing their
+    /// first score bounds, before round 1. `#[serde(default)]`: absent in
+    /// older replies, meaning not measured.
+    #[serde(default)]
+    pub cache_build_ns: u64,
+    /// Time inside `run` spent after join commits recomputing score bounds
+    /// and re-projecting union candidates. `#[serde(default)]` as above.
+    #[serde(default)]
+    pub refresh_ns: u64,
     /// Final model fit after the loop.
     pub fit_ns: u64,
 }
 
 impl SpanBreakdown {
-    /// Sum of the partitioning stages (everything except `eval_ns`, which
-    /// is a subset of `run_ns`). Should track `total_ns` closely; a large
-    /// gap means an unaccounted stage.
+    /// Sum of the partitioning stages (everything except `cache_build_ns`,
+    /// `eval_ns` and `refresh_ns`, which are subsets of `run_ns`). Should
+    /// track `total_ns` closely; a large gap means an unaccounted stage.
     pub fn staged_ns(&self) -> u64 {
         self.prepare_ns + self.enumerate_ns + self.queue_wait_ns + self.run_ns + self.fit_ns
     }
@@ -360,6 +371,8 @@ impl SearchReply {
             spans: SpanBreakdown {
                 run_ns: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),
                 eval_ns: outcome.round_eval_ns.iter().copied().sum(),
+                cache_build_ns: outcome.cache_build_ns,
+                refresh_ns: outcome.refresh_ns,
                 ..SpanBreakdown::default()
             },
             degraded: false,

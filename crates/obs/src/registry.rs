@@ -144,6 +144,10 @@ pub struct Metrics {
     pub search_run: Histogram,
     /// One evaluation round (scoring every remaining candidate once).
     pub search_eval_round: Histogram,
+    /// One search's bound refresh: every remaining candidate's score bound
+    /// recomputed (and union candidates re-projected) after its join
+    /// commits. One sample per completed search, 0 when no join committed.
+    pub search_bound_refresh: Histogram,
     /// Final model fit after the loop.
     pub search_fit: Histogram,
     /// One shard's slice of one scatter round (per-shard gather time).
@@ -200,6 +204,7 @@ impl Metrics {
             ("search_queue_wait_ns".to_string(), self.search_queue_wait.report()),
             ("search_run_ns".to_string(), self.search_run.report()),
             ("search_eval_round_ns".to_string(), self.search_eval_round.report()),
+            ("search_bound_refresh_ns".to_string(), self.search_bound_refresh.report()),
             ("search_fit_ns".to_string(), self.search_fit.report()),
             ("shard_gather_ns".to_string(), self.shard_gather.report()),
             ("wal_append_ns".to_string(), self.wal_append.report()),

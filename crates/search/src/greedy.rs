@@ -7,8 +7,8 @@
 //!
 //! Candidates are projected onto the task feature space **once**, before
 //! round 1 ([`crate::cache::CandidateCache`]); every round then scores
-//! pre-projected arena slabs, optionally in parallel via rayon
-//! work-stealing.
+//! pre-projected arena slabs, optionally on worker threads
+//! (`SearchConfig::parallel`).
 
 use crate::cache::CachedCandidate;
 use crate::candidates::{Augmentation, Candidate, CandidateSet};
@@ -166,6 +166,14 @@ pub struct SearchOutcome {
     /// vector can be longer than `steps`. Telemetry feeds these into the
     /// platform's `search_eval_round` histogram.
     pub round_eval_ns: Vec<u64>,
+    /// Wall-clock nanoseconds spent projecting the candidates and computing
+    /// their first score bounds, before round 1 ([`crate::cache::CandidateCache::build`]
+    /// over every partition).
+    pub cache_build_ns: u64,
+    /// Wall-clock nanoseconds spent after join commits recomputing every
+    /// remaining entry's score bound and re-projecting union entries onto
+    /// the grown feature space (0 when no join committed).
+    pub refresh_ns: u64,
     /// Total wall-clock.
     pub elapsed: std::time::Duration,
     /// Why the loop ended.
@@ -433,6 +441,8 @@ impl GreedySearch {
             bound_skips: 0,
             candidates_truncated,
             round_eval_ns,
+            cache_build_ns: 0,
+            refresh_ns: 0,
             elapsed: start.elapsed(),
             stop_reason,
             state,

@@ -23,7 +23,7 @@ use crate::error::{Result, SearchError};
 use crate::request::TaskSpec;
 use mileena_ml::{LinearModel, RidgeConfig};
 use mileena_relation::{DatasetId, FxHashMap};
-use mileena_semiring::{packed_idx, CovarTriple, LrSystem};
+use mileena_semiring::{packed_idx, CovarTriple, GroupedArena, LrSystem};
 use mileena_sketch::{eval_join, eval_union, DatasetSketch, KeyedSketch};
 use std::cell::RefCell;
 
@@ -290,11 +290,11 @@ impl ProxyState {
         self.score_triples(&self.train_triple, &self.test_triple, &self.features)
     }
 
-    /// Admissible ceiling on any candidate's score over the given test
-    /// statistics and model features: the R² of the least-squares fit on
-    /// the *test* system itself (λ = 0, intercept). Every candidate is
-    /// scored as `R²_test(model trained on train)`, and no model — however
-    /// trained — can beat the best linear fit on the test statistics, so
+    /// Admissible ceiling on any candidate's score over the given test-side
+    /// regression system: the R² of the least-squares fit on the *test*
+    /// system itself (λ = 0, intercept). Every candidate is scored as
+    /// `R²_test(model trained on train)`, and no model — however trained —
+    /// can beat the best linear fit on the test statistics, so
     /// `score ≤ ceiling` in exact arithmetic. [`BOUND_SLACK`] covers solver
     /// rounding; an unsolvable system yields `+∞` (never pruned).
     ///
@@ -306,17 +306,13 @@ impl ProxyState {
     /// reproduces a candidate's own solve verbatim in the regime where the
     /// bound is tightest (train statistics ≈ test statistics), making that
     /// case independent of conditioning.
-    fn r2_ceiling(&self, test: &CovarTriple, features: &[String]) -> f64 {
-        let frefs: Vec<&str> = features.iter().map(|s| s.as_str()).collect();
-        let Ok(sys) = test.lr_system(&frefs, &self.target, true) else {
-            return f64::INFINITY;
-        };
+    fn r2_ceiling(&self, sys: &LrSystem) -> f64 {
         let fit_r2 = |lambda: f64| -> f64 {
             let mut model = LinearModel::new(RidgeConfig { lambda, intercept: true });
-            if model.fit_from_system_strict(&sys).is_err() {
+            if model.fit_from_system_strict(sys).is_err() {
                 return f64::INFINITY;
             }
-            match model.r2_from_system(&sys) {
+            match model.r2_from_system(sys) {
                 Ok(r2) if r2.is_finite() => r2,
                 _ => f64::INFINITY,
             }
@@ -329,7 +325,11 @@ impl ProxyState {
     /// capped by the current feature set's ceiling on the current test
     /// statistics. Valid until a join commit changes the feature space.
     pub fn union_score_bound(&self) -> f64 {
-        self.r2_ceiling(&self.test_triple, &self.features)
+        let frefs: Vec<&str> = self.features.iter().map(|s| s.as_str()).collect();
+        match self.test_triple.lr_system(&frefs, &self.target, true) {
+            Ok(sys) => self.r2_ceiling(&sys),
+            Err(_) => f64::INFINITY,
+        }
     }
 
     /// Score bound for a join candidate from its cached projection: the
@@ -339,19 +339,29 @@ impl ProxyState {
     /// evaluate under this state at all (conflicting key, untracked key,
     /// empty test overlap); the exhaustive path scores those as `None`, so
     /// skipping them is parity-safe.
+    ///
+    /// Runs on the same thread-local packed scratch and the same
+    /// [`lr_system_from_packed`] as [`ProxyState::evaluate_join_cached`]
+    /// (see there for why the staged feature order needs no names): no
+    /// triple is materialized, no feature-name list is cloned, and the
+    /// system is filled by position, not by looking each feature up.
     pub fn join_score_bound(&self, query_key: &str, projection: &JoinProjection) -> f64 {
         let Ok((_, test_k)) = self.join_keyed_pair(query_key) else {
             return f64::NEG_INFINITY;
         };
-        let Ok(stats) = eval_join(test_k, &projection.proj) else {
+        let (ta, ca) = (test_k.arena(), projection.proj.arena());
+        let Ok((m, t_idx)) = self.staged_frame(ta, ca) else {
             return f64::NEG_INFINITY;
         };
-        if stats.matched_keys == 0 {
-            return f64::NEG_INFINITY;
-        }
-        let mut features = self.features.clone();
-        features.extend(projection.added.iter().cloned());
-        self.r2_ceiling(&stats.triple, &features)
+        EVAL_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let (c, matched) = ta.join_stats_into(ca, &mut scratch.s_test, &mut scratch.q_test);
+            if matched == 0 {
+                return f64::NEG_INFINITY;
+            }
+            let sys = lr_system_from_packed(c, &scratch.s_test, &scratch.q_test, m, t_idx);
+            self.r2_ceiling(&sys)
+        })
     }
 
     /// Rename and project a union candidate onto the requester's current
@@ -433,6 +443,25 @@ impl ProxyState {
             SearchError::Sketch(format!("no grouped test sketch for key {query_key}"))
         })?;
         Ok((train_k, test_k))
+    }
+
+    /// The staged feature space `[state schema ++ candidate schema]` of a
+    /// join scored on packed scratch: its width and the target's index in
+    /// it. Errors when the two schemas overlap (the join is undefined).
+    fn staged_frame(
+        &self,
+        state_arena: &GroupedArena,
+        candidate_arena: &GroupedArena,
+    ) -> Result<(usize, usize)> {
+        let shared = state_arena.shared_features(candidate_arena);
+        if !shared.is_empty() {
+            return Err(mileena_semiring::SemiringError::FeatureOverlap(shared).into());
+        }
+        let t_idx =
+            state_arena.schema().iter().position(|f| *f == self.target).ok_or_else(|| {
+                SearchError::InvalidTask(format!("target {} not tracked", self.target))
+            })?;
+        Ok((state_arena.num_features() + candidate_arena.num_features(), t_idx))
     }
 
     /// Stage a join candidate from its (possibly cached) projection.
@@ -579,16 +608,7 @@ impl ProxyState {
     ) -> Result<CandidateScore> {
         let (train_k, test_k) = self.join_keyed_pair(query_key)?;
         let (ta, ca) = (train_k.arena(), projection.proj.arena());
-        let shared = ta.shared_features(ca);
-        if !shared.is_empty() {
-            return Err(mileena_semiring::SemiringError::FeatureOverlap(shared).into());
-        }
-
-        let m_train = ta.num_features();
-        let m = m_train + ca.num_features();
-        let t_idx = ta.schema().iter().position(|f| *f == self.target).ok_or_else(|| {
-            SearchError::InvalidTask(format!("target {} not tracked", self.target))
-        })?;
+        let (m, t_idx) = self.staged_frame(ta, ca)?;
 
         EVAL_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -722,6 +742,198 @@ mod tests {
         )
         .unwrap();
         (ProxyState::new(&ts, &es, &task, 1e-6).unwrap(), ps)
+    }
+
+    fn join_aug(dataset: &str) -> Augmentation {
+        Augmentation::Join {
+            dataset: dataset.into(),
+            query_key: "zone".into(),
+            candidate_key: "zone".into(),
+            similarity: 1.0,
+        }
+    }
+
+    /// A provider sketch over `zones`, `rows_per_zone` rows each, with one
+    /// feature column `feat`.
+    fn provider(name: &str, feat: &str, zones: &[i64], rows_per_zone: usize) -> DatasetSketch {
+        let keys: Vec<i64> =
+            zones.iter().flat_map(|&z| std::iter::repeat_n(z, rows_per_zone)).collect();
+        let vals: Vec<f64> =
+            keys.iter().enumerate().map(|(i, &z)| ((z * 11 + i as i64) % 9) as f64 / 9.0).collect();
+        let rel = RelationBuilder::new(name)
+            .int_col("zone", &keys)
+            .float_col(feat, &vals)
+            .build()
+            .unwrap();
+        build_sketch(
+            &rel,
+            &SketchConfig {
+                key_columns: Some(vec!["zone".into()]),
+                feature_columns: Some(vec![feat.into()]),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// The same state over freshly built grouped arenas (an identity
+    /// projection copies the rows into a new arena), so nothing an arena
+    /// remembered from earlier joins can reach a score computed on it.
+    fn rebuilt(state: &ProxyState) -> ProxyState {
+        let mut fresh = state.clone();
+        for keyed in [&mut fresh.train_keyed, &mut fresh.test_keyed] {
+            for ks in keyed.values_mut() {
+                let names = ks.features().to_vec();
+                let names: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+                let arena = ks.arena().project(&names).unwrap();
+                *ks = KeyedSketch::from_arena(ks.key_column.clone(), arena);
+            }
+        }
+        fresh
+    }
+
+    /// `join_score_bound` as it was before it moved onto packed scratch:
+    /// materialize the test-side join triple, look the model features up by
+    /// name, and take the ceiling of that system.
+    fn join_score_bound_by_name(state: &ProxyState, projection: &JoinProjection) -> f64 {
+        let fresh = rebuilt(state);
+        let Ok((_, test_k)) = fresh.join_keyed_pair("zone") else {
+            return f64::NEG_INFINITY;
+        };
+        let Ok(stats) = eval_join(test_k, &projection.proj) else {
+            return f64::NEG_INFINITY;
+        };
+        if stats.matched_keys == 0 {
+            return f64::NEG_INFINITY;
+        }
+        let mut features = state.features.clone();
+        features.extend(projection.added.iter().cloned());
+        let frefs: Vec<&str> = features.iter().map(|s| s.as_str()).collect();
+        match stats.triple.lr_system(&frefs, &state.target, true) {
+            Ok(sys) => state.r2_ceiling(&sys),
+            Err(_) => f64::INFINITY,
+        }
+    }
+
+    #[test]
+    fn join_score_bound_matches_name_based_reference_bitwise() {
+        let (mut state, prov_sketch) = state();
+        let all: Vec<i64> = (0..60).collect();
+        let candidates = [
+            prov_sketch.clone(),                    // every key once: the shared block
+            provider("twice", "t", &all, 2),        // every key, count 2: general path
+            provider("some", "s", &all[10..40], 1), // partial coverage
+            provider("wide", "w", &(0..90).collect::<Vec<_>>(), 1), // superset of keys
+            provider("none", "n", &[500, 501], 1),  // no overlap: cannot evaluate
+        ];
+        // Epoch 0, then after a join commit grew the feature space (where
+        // `prov` itself overlaps the state's features and cannot evaluate).
+        for epoch in 0..2 {
+            for cand in &candidates {
+                let projection = project_join_candidate(cand, "zone").unwrap();
+                let got = state.join_score_bound("zone", &projection);
+                let want = join_score_bound_by_name(&state, &projection);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} at epoch {epoch}", cand.name);
+                let evaluable = cand.name != "none" && !(epoch == 1 && cand.name == "prov");
+                assert_eq!(got.is_finite(), evaluable, "{} at epoch {epoch}: {got}", cand.name);
+                assert!(evaluable || got == f64::NEG_INFINITY);
+                // A key the state does not track, or one that lost to the
+                // active key.
+                assert_eq!(state.join_score_bound("week", &projection), f64::NEG_INFINITY);
+            }
+            if epoch == 0 {
+                state.apply(&join_aug("prov"), &prov_sketch).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn shared_state_block_follows_union_and_join_commits() {
+        // `prov` and `g` hold every requester key exactly once, so their
+        // joins read the state arenas' per-epoch row sums in place of
+        // re-summing the rows. A commit that changes those rows must drop
+        // the sums: compare against the same state over rebuilt arenas.
+        let (mut state, prov_sketch) = state();
+        let all: Vec<i64> = (0..60).collect();
+        let g_sketch = provider("g", "g", &all, 1);
+        let prov = project_join_candidate(&prov_sketch, "zone").unwrap();
+        let g = project_join_candidate(&g_sketch, "zone").unwrap();
+        // Only names the candidate in error messages.
+        let id = mileena_relation::DatasetInterner::global().intern("candidate");
+        let check = |state: &ProxyState, projection: &JoinProjection, what: &str| -> f64 {
+            let fresh = rebuilt(state);
+            let got = state.evaluate_join_cached(id, "zone", projection).unwrap();
+            let want = fresh.evaluate_join_cached(id, "zone", projection).unwrap();
+            assert_eq!(got.test_r2.to_bits(), want.test_r2.to_bits(), "score {what}");
+            assert_eq!(got.train_rows.to_bits(), want.train_rows.to_bits(), "rows {what}");
+            assert_eq!(
+                state.join_score_bound("zone", projection).to_bits(),
+                fresh.join_score_bound("zone", projection).to_bits(),
+                "bound {what}"
+            );
+            got.test_r2
+        };
+        let before = check(&state, &prov, "before any commit");
+        check(&state, &g, "second candidate, sums already filled");
+
+        // A union commit folds rows into the tracked train arena in place.
+        let (train, _, _) = fixtures();
+        let more = build_sketch(
+            &train.clone().with_name("more"),
+            &SketchConfig {
+                key_columns: Some(vec!["zone".into()]),
+                feature_columns: Some(vec!["base_x".into(), "y".into()]),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let train_rows = state.train_rows();
+        state
+            .apply(&Augmentation::Union { dataset: "more".into(), similarity: 1.0 }, &more)
+            .unwrap();
+        assert_eq!(state.train_rows(), 2.0 * train_rows);
+        check(&state, &prov, "after a union commit");
+        check(&state, &g, "after a union commit");
+
+        // A join commit replaces both tracked arenas.
+        state.apply(&join_aug("prov"), &prov_sketch).unwrap();
+        let after = check(&state, &g, "after a join commit");
+        assert_ne!(before.to_bits(), after.to_bits(), "the commits moved the statistics");
+    }
+
+    #[test]
+    fn interleaved_searches_never_share_a_state_block() {
+        // Two requests with different statistics over the same keys and
+        // the same schema, scored alternately on one thread — and with the
+        // first state dropped and rebuilt in between, so an allocator may
+        // hand its arenas' addresses to the second: each must still see
+        // only its own rows.
+        let (state_a, prov_sketch) = state();
+        let prov = project_join_candidate(&prov_sketch, "zone").unwrap();
+        let id = mileena_relation::DatasetInterner::global().intern("prov");
+        let other_request = || {
+            let (train, test, _) = fixtures();
+            let task = TaskSpec::new("y", &["base_x"]);
+            // Swapped roles: same keys and schema, different rows.
+            let ts = requester_sketch(&test, &["base_x", "y"]);
+            let es = requester_sketch(&train, &["base_x", "y"]);
+            ProxyState::new(&ts, &es, &task, 1e-6).unwrap()
+        };
+        let score = |s: &ProxyState| {
+            let r2 = s.evaluate_join_cached(id, "zone", &prov).unwrap().test_r2;
+            (r2.to_bits(), s.join_score_bound("zone", &prov).to_bits())
+        };
+        let want_a = score(&rebuilt(&state_a));
+        let want_b = score(&rebuilt(&other_request()));
+        assert_ne!(want_a, want_b, "the two requests really differ");
+        for _ in 0..4 {
+            let state_b = other_request();
+            assert_eq!(score(&state_a), want_a);
+            assert_eq!(score(&state_b), want_b);
+            drop(state_b);
+            let state_a2 = state().0;
+            assert_eq!(score(&state_a2), want_a);
+        }
     }
 
     #[test]

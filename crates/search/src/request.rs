@@ -204,11 +204,13 @@ pub struct SearchConfig {
     /// many-to-many join that fans rows out re-weights the training set
     /// with no semantic justification.
     pub max_join_fanout: f64,
-    /// Evaluate candidates on worker threads (rayon work-stealing). Only
-    /// effective with `pruning: false`: the pruned plan is inherently
-    /// sequential (each evaluation tightens the incumbent threshold) and
-    /// measures orders of magnitude below even a parallel exhaustive
-    /// sweep, so it ignores this flag.
+    /// Evaluate candidates on worker threads: the in-tree `rayon` shim
+    /// spawns scoped threads per call, which claim items off a shared
+    /// counter (no pool, no work-stealing). Only effective with
+    /// `pruning: false`: the pruned plan is inherently sequential (each
+    /// evaluation tightens the incumbent threshold) and measures orders of
+    /// magnitude below even a parallel exhaustive sweep, so it ignores
+    /// this flag.
     pub parallel: bool,
     /// Bound-pruned lazy rounds: evaluate candidates in descending order of
     /// their admissible score bound and stop a round once no remaining

@@ -130,6 +130,11 @@ impl ScatterStats {
     }
 }
 
+/// Nanoseconds since `since`, saturating at `u64::MAX`.
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The searcher behind every deployment shape: drives the greedy loop with
 /// each round's candidate evaluation scattered across partitions.
 #[derive(Clone, Default)]
@@ -187,6 +192,7 @@ impl ScatterSearch {
         let mut evaluations = 0usize;
         let mut bound_skips = 0usize;
         let mut round_eval_ns = Vec::new();
+        let mut refresh_ns = 0u64;
         let mut stats = ScatterStats::default();
         let round_plan = GreedySearch::new(self.config.clone());
 
@@ -194,6 +200,7 @@ impl ScatterSearch {
         // projections (and, with pruning, the admissible score bounds
         // computed alongside). Drop decisions are per-candidate (state +
         // sketch), so the surviving set does not depend on the partitioning.
+        let cache_start = Instant::now();
         let mut slices: Vec<Slice> = parts
             .into_iter()
             .map(|part| {
@@ -206,6 +213,7 @@ impl ScatterSearch {
                 Slice { shard: part.shard, entries }
             })
             .collect();
+        let cache_build_ns = elapsed_ns(cache_start);
         observer(SearchEvent::Started {
             candidates: slices.iter().map(|s| s.entries.len()).sum(),
             truncated: candidates_truncated,
@@ -264,9 +272,7 @@ impl ScatterSearch {
                     match fault {
                         ShardCallFault::Latency(d) => std::thread::sleep(d),
                         ShardCallFault::Fail => {
-                            stats.gather_ns.push(
-                                u64::try_from(shard_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
+                            stats.gather_ns.push(elapsed_ns(shard_start));
                             if !self.config.degraded_ok {
                                 return Err(SearchError::ShardFailed { shard: slice.shard });
                             }
@@ -277,9 +283,7 @@ impl ScatterSearch {
                 }
                 let (best, evaluated, skipped) =
                     round_plan.score_round(&state, &slice.entries, current);
-                stats
-                    .gather_ns
-                    .push(u64::try_from(shard_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                stats.gather_ns.push(elapsed_ns(shard_start));
                 if !deadline.is_zero() && shard_start.elapsed() >= deadline {
                     stats.timeouts.push(slice.shard);
                     strikes[si] += 1;
@@ -305,7 +309,7 @@ impl ScatterSearch {
                     }
                 }
             }
-            round_eval_ns.push(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            round_eval_ns.push(elapsed_ns(round_start));
             evaluations += round_evaluated;
             bound_skips += round_skipped;
             for &si in &struck_out {
@@ -336,10 +340,12 @@ impl ScatterSearch {
                 // and recompute every bound against the new epoch, so
                 // per-evaluation work stays projection-free. The union
                 // ceiling is identical across union entries — solve once.
+                let refresh_start = Instant::now();
                 let union_bound = self.config.pruning.then(|| state.union_score_bound());
                 for slice in &mut slices {
                     slice.entries.retain_mut(|e| e.refresh(&state, union_bound));
                 }
+                refresh_ns += elapsed_ns(refresh_start);
             }
             // Drop struck-out shards' remaining candidates: the rest of
             // this session runs over the live subset only (the platform
@@ -382,6 +388,8 @@ impl ScatterSearch {
                 bound_skips,
                 candidates_truncated,
                 round_eval_ns,
+                cache_build_ns,
+                refresh_ns,
                 elapsed: start.elapsed(),
                 stop_reason,
                 state,

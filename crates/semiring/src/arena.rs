@@ -160,6 +160,11 @@ pub struct GroupedArena {
     qp: Vec<f64>,
     /// The key space the ids live in.
     interner: Arc<KeyInterner>,
+    /// `[Σ_r s[r] | Σ_r qp[r]]` summed over the rows in row order, filled
+    /// on first use by [`GroupedArena::join_stats_into`] and dropped by
+    /// every method that changes rows or their order (see
+    /// [`GroupedArena::row_sums`]).
+    row_sums: OnceLock<Vec<f64>>,
 }
 
 thread_local! {
@@ -167,6 +172,27 @@ thread_local! {
     /// a rayon worker evaluating a whole greedy round allocates them once.
     static JOIN_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+    /// The join kernel's `c_b·Q_a` and `s_a s_bᵀ` block accumulators, laid
+    /// into the caller's packed triangle once per call.
+    static BLOCK_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `acc += a · x`, element-wise over equal-length slices.
+#[inline]
+fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (d, v) in acc.iter_mut().zip(x) {
+        *d += a * v;
+    }
+}
+
+/// `acc += x`, element-wise over equal-length slices.
+#[inline]
+fn add_assign(acc: &mut [f64], x: &[f64]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (d, v) in acc.iter_mut().zip(x) {
+        *d += v;
+    }
 }
 
 impl GroupedArena {
@@ -179,6 +205,7 @@ impl GroupedArena {
             s: Vec::new(),
             qp: Vec::new(),
             interner,
+            row_sums: OnceLock::new(),
         }
     }
 
@@ -250,6 +277,7 @@ impl GroupedArena {
             s,
             qp,
             interner: Arc::clone(interner),
+            row_sums: OnceLock::new(),
         };
         arena.sort_rows();
         // Rows are unique by construction in `from_groups` (hash map); a
@@ -341,6 +369,7 @@ impl GroupedArena {
     /// feature pair, in `i ≤ j` row-major order (the order the privacy
     /// layer's seeded noise walk draws in).
     pub fn for_each_row_mut(&mut self, mut f: impl FnMut(&mut f64, &mut [f64], &mut [f64])) {
+        self.row_sums.take();
         let m = self.schema.len();
         let p = packed_len(m);
         for r in self.sorted_row_order() {
@@ -399,6 +428,7 @@ impl GroupedArena {
             s,
             qp,
             interner: Arc::clone(&self.interner),
+            row_sums: OnceLock::new(),
         }
     }
 
@@ -434,11 +464,49 @@ impl GroupedArena {
         self.schema.iter().filter(|f| other.schema.contains(f)).cloned().collect()
     }
 
+    /// `[Σ_r s[r] | Σ_r qp[r]]` over this arena's rows in row order,
+    /// computed on first use. It is the `c_b·s_a` / `c_b·Q_a` share of a
+    /// join whose other side holds every one of this arena's keys with
+    /// count 1 (`+= 1.0·v` and `+= v` are the same operation), so every such
+    /// join reads it here in place of re-summing the rows. Owned by the
+    /// arena: every `&mut self` method that touches rows drops it.
+    fn row_sums(&self) -> &[f64] {
+        self.row_sums.get_or_init(|| {
+            let m = self.num_features();
+            let mut sums = vec![0.0; m + packed_len(m)];
+            let (s_sum, q_sum) = sums.split_at_mut(m);
+            self.add_rows(self.num_keys(), s_sum, q_sum);
+            sums
+        })
+    }
+
+    /// `s_sum += s[r]`, `q_sum += qp[r]` for rows `0..upto`, in row order.
+    fn add_rows(&self, upto: usize, s_sum: &mut [f64], q_sum: &mut [f64]) {
+        for r in 0..upto {
+            let (_, s, qp) = self.row(r);
+            add_assign(s_sum, s);
+            add_assign(q_sum, qp);
+        }
+    }
+
     /// The join kernel: `Σ_k a[k] × b[k]` over matching keys, accumulated
     /// into caller-provided flat buffers (`s_acc` of `ma+mb`, `q_acc` the
     /// packed triangle of `ma+mb`) — a sorted merge over two id arrays with
     /// no hashing and **no allocation at all** once the buffers are warm.
     /// Returns `(c, matched)`.
+    ///
+    /// The three blocks `[c_b·Q_a | s_a s_bᵀ | c_a·Q_b]` accumulate in
+    /// separate contiguous buffers (slice-on-slice loops the compiler can
+    /// vectorise; the cross block is kept one column per `other` feature so
+    /// its inner loop runs over `self`'s features, the side that grows as a
+    /// search commits joins) and are laid into the packed triangle once at
+    /// the end.
+    /// While every key of `self` so far has matched at `c_b = 1` the
+    /// `self`-only block is not accumulated at all: if that still holds
+    /// when `self`'s keys run out it is [`GroupedArena::row_sums`], and if
+    /// it breaks at row `i` the skipped rows `0..i` are summed in then and
+    /// the walk carries on accumulating. Either way every output entry is
+    /// the same sum of the same products in the same key order.
     pub fn join_stats_into(
         &self,
         other: &GroupedArena,
@@ -455,65 +523,91 @@ impl GroupedArena {
         let ma = self.num_features();
         let mb = other.num_features();
         let m = ma + mb;
+        let pa = packed_len(ma);
         s_acc.clear();
         s_acc.resize(m, 0.0);
         q_acc.clear();
         q_acc.resize(packed_len(m), 0.0);
-        let mut c_acc = 0.0f64;
-        let mut matched = 0usize;
+        let (s_a, s_b) = s_acc.split_at_mut(ma);
+        // The packed triangle's rows `ma..m` are exactly the packed b-block.
+        let (q_head, q_b) = q_acc.split_at_mut(pa + ma * mb);
 
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.key_ids.len() && j < other.key_ids.len() {
-            match self.key_ids[i].cmp(&other.key_ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let (ca, sa, qa) = self.row(i);
-                    let (cb, sb, qb) = other.row(j);
-                    matched += 1;
-                    c_acc += ca * cb;
-                    for x in 0..ma {
-                        s_acc[x] += cb * sa[x];
-                    }
-                    for y in 0..mb {
-                        s_acc[ma + y] += ca * sb[y];
-                    }
-                    // Packed Q blocks: [c_b·Q_a, s_a s_bᵀ; ·, c_a·Q_b].
-                    // The output triangle interleaves, per row `x < ma`,
-                    // `ma−x` a-block entries then `mb` cross entries, and
-                    // finishes with the whole packed b-block — all three
-                    // sources are consumed strictly in order, so the kernel
-                    // is three zipped forward walks with no index math and
-                    // no per-row slicing.
-                    let mut dq = q_acc.iter_mut();
-                    let mut aq = qa.iter();
-                    for (x, &sax) in sa.iter().enumerate() {
-                        for _ in x..ma {
-                            if let (Some(d), Some(v)) = (dq.next(), aq.next()) {
-                                *d += cb * v;
-                            }
+        BLOCK_SCRATCH.with(|cell| {
+            let blocks = &mut *cell.borrow_mut();
+            blocks.clear();
+            blocks.resize(pa + ma * mb, 0.0);
+            // `cross[y·ma + x]` accumulates `s_b[y]·s_a[x]`.
+            let (q_a, cross) = blocks.split_at_mut(pa);
+            let mut c_acc = 0.0f64;
+            let mut matched = 0usize;
+            // True while rows `0..i` of `self` all matched at `c_b = 1` and
+            // their share of `s_a` / `q_a` has not been accumulated.
+            let mut covered = true;
+
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < self.key_ids.len() && j < other.key_ids.len() {
+                match self.key_ids[i].cmp(&other.key_ids[j]) {
+                    std::cmp::Ordering::Less => {
+                        if covered {
+                            self.add_rows(i, s_a, q_a);
+                            covered = false;
                         }
-                        for v in sb {
-                            if let Some(d) = dq.next() {
-                                *d += sax * v;
-                            }
-                        }
+                        i += 1;
                     }
-                    for v in qb {
-                        if let Some(d) = dq.next() {
-                            *d += ca * v;
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let (ca, sa, qa) = self.row(i);
+                        let (cb, sb, qb) = other.row(j);
+                        if covered && cb != 1.0 {
+                            self.add_rows(i, s_a, q_a);
+                            covered = false;
                         }
+                        matched += 1;
+                        c_acc += ca * cb;
+                        if !covered {
+                            axpy(s_a, cb, sa);
+                            axpy(q_a, cb, qa);
+                        }
+                        axpy(s_b, ca, sb);
+                        for (y, &sby) in sb.iter().enumerate() {
+                            axpy(&mut cross[y * ma..(y + 1) * ma], sby, sa);
+                        }
+                        axpy(q_b, ca, qb);
+                        i += 1;
+                        j += 1;
                     }
-                    // The three walks must consume exactly the whole output
-                    // triangle and the whole packed a-row: a length drift
-                    // would otherwise silently truncate the accumulation.
-                    debug_assert!(dq.next().is_none() && aq.next().is_none());
-                    i += 1;
-                    j += 1;
                 }
             }
-        }
-        (c_acc, matched)
+            let q_a: &[f64] = if !covered {
+                q_a
+            } else if i < self.key_ids.len() {
+                // `other` ran out first: only rows `0..i` matched.
+                self.add_rows(i, s_a, q_a);
+                q_a
+            } else {
+                let (s_sum, q_sum) = self.row_sums().split_at(ma);
+                s_a.copy_from_slice(s_sum);
+                q_sum
+            };
+
+            // Lay `[q_a | cross]` into the triangle: row `x < ma` is its
+            // `ma − x` a-block entries, then its `mb` cross entries.
+            let (mut dst, mut a_rows) = (q_head, q_a);
+            for x in 0..ma {
+                let (a_row, a_rest) = a_rows.split_at(ma - x);
+                let (d_row, d_rest) = dst.split_at_mut(ma - x + mb);
+                d_row[..ma - x].copy_from_slice(a_row);
+                for (y, d) in d_row[ma - x..].iter_mut().enumerate() {
+                    *d = cross[y * ma + x];
+                }
+                (dst, a_rows) = (d_rest, a_rest);
+            }
+            // The walks must consume exactly the whole triangle head and
+            // the whole packed a-block: a length drift would otherwise
+            // silently truncate the accumulation.
+            debug_assert!(dst.is_empty() && a_rows.is_empty());
+            (c_acc, matched)
+        })
     }
 
     /// [`GroupedArena::join_stats_into`] with owned, full-matrix output:
@@ -604,6 +698,7 @@ impl GroupedArena {
             other_re = other.reinterned(&self.interner);
             &other_re
         };
+        self.row_sums.take();
         let m = self.num_features();
         let p = packed_len(m);
         let mut appended = false;
@@ -613,12 +708,8 @@ impl GroupedArena {
             match self.key_ids.binary_search(&id) {
                 Ok(r) => {
                     self.c[r] += cb;
-                    for (a, b) in self.s[r * m..(r + 1) * m].iter_mut().zip(sb) {
-                        *a += b;
-                    }
-                    for (a, b) in self.qp[r * p..(r + 1) * p].iter_mut().zip(qb) {
-                        *a += b;
-                    }
+                    add_assign(&mut self.s[r * m..(r + 1) * m], sb);
+                    add_assign(&mut self.qp[r * p..(r + 1) * p], qb);
                 }
                 Err(_) => {
                     self.key_ids.push(id);
@@ -668,6 +759,7 @@ impl GroupedArena {
     }
 
     fn sort_rows(&mut self) {
+        self.row_sums.take();
         let d = self.num_keys();
         let m = self.schema.len();
         let p = packed_len(m);
@@ -710,9 +802,255 @@ impl PartialEq for GroupedArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn k(v: i64) -> Vec<KeyValue> {
         vec![KeyValue::Int(v)]
+    }
+
+    /// The join kernel as it was before the block-structured rewrite — one
+    /// interleaved forward walk over the output triangle per matched key,
+    /// no shared block. The reference [`GroupedArena::join_stats_into`]
+    /// must equal bit for bit.
+    fn join_stats_into_interleaved(
+        a: &GroupedArena,
+        b: &GroupedArena,
+        s_acc: &mut Vec<f64>,
+        q_acc: &mut Vec<f64>,
+    ) -> (f64, usize) {
+        let b_re;
+        let b = if Arc::ptr_eq(&a.interner, &b.interner) {
+            b
+        } else {
+            b_re = b.reinterned(&a.interner);
+            &b_re
+        };
+        let ma = a.num_features();
+        let mb = b.num_features();
+        s_acc.clear();
+        s_acc.resize(ma + mb, 0.0);
+        q_acc.clear();
+        q_acc.resize(packed_len(ma + mb), 0.0);
+        let mut c_acc = 0.0f64;
+        let mut matched = 0usize;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.key_ids.len() && j < b.key_ids.len() {
+            match a.key_ids[i].cmp(&b.key_ids[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let (ca, sa, qa) = a.row(i);
+                    let (cb, sb, qb) = b.row(j);
+                    matched += 1;
+                    c_acc += ca * cb;
+                    for x in 0..ma {
+                        s_acc[x] += cb * sa[x];
+                    }
+                    for y in 0..mb {
+                        s_acc[ma + y] += ca * sb[y];
+                    }
+                    let mut dq = q_acc.iter_mut();
+                    let mut aq = qa.iter();
+                    for (x, &sax) in sa.iter().enumerate() {
+                        for _ in x..ma {
+                            if let (Some(d), Some(v)) = (dq.next(), aq.next()) {
+                                *d += cb * v;
+                            }
+                        }
+                        for v in sb {
+                            if let Some(d) = dq.next() {
+                                *d += sax * v;
+                            }
+                        }
+                    }
+                    for v in qb {
+                        if let Some(d) = dq.next() {
+                            *d += ca * v;
+                        }
+                    }
+                    assert!(dq.next().is_none() && aq.next().is_none());
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        (c_acc, matched)
+    }
+
+    /// Both kernels' outputs as comparable bit patterns.
+    fn join_bits(
+        kernel: impl Fn(&GroupedArena, &GroupedArena, &mut Vec<f64>, &mut Vec<f64>) -> (f64, usize),
+        a: &GroupedArena,
+        b: &GroupedArena,
+    ) -> (u64, usize, Vec<u64>, Vec<u64>) {
+        let (mut s, mut q) = (vec![f64::NAN; 3], vec![f64::NAN; 50]); // stale scratch
+        let (c, matched) = kernel(a, b, &mut s, &mut q);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (c.to_bits(), matched, bits(&s), bits(&q))
+    }
+
+    fn assert_kernels_agree(a: &GroupedArena, b: &GroupedArena, what: &str) {
+        let want = join_bits(join_stats_into_interleaved, a, b);
+        // Twice: the second call finds `row_sums` already filled.
+        for pass in 0..2 {
+            let got = join_bits(GroupedArena::join_stats_into, a, b);
+            assert_eq!(got, want, "{what}, pass {pass}");
+        }
+    }
+
+    /// splitmix64: the property test draws whole arenas from one seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value whose sums and products round (53 random mantissa bits).
+        fn value(&mut self) -> f64 {
+            ((self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 64.0
+        }
+    }
+
+    /// How the second arena's counts are drawn.
+    #[derive(Clone, Copy, Debug)]
+    enum Counts {
+        /// Every count is 1 (the shared-block path when keys also cover).
+        Unit,
+        /// Every count is a random non-unit value (the general path).
+        Random,
+        /// All 1 but one row (the block is abandoned mid-walk).
+        OneOff,
+    }
+
+    fn drawn_arena(
+        draw: &mut Draw,
+        prefix: &str,
+        m: usize,
+        keys: &[i64],
+        counts: Counts,
+        interner: &Arc<KeyInterner>,
+    ) -> GroupedArena {
+        let d = keys.len();
+        let features = (0..m).map(|i| format!("{prefix}{i}")).collect();
+        let odd = draw.below(d.max(1) as u64) as usize;
+        let c = (0..d)
+            .map(|r| match counts {
+                Counts::Unit => 1.0,
+                Counts::Random => 2.0 + draw.below(5) as f64 + draw.value().abs() / 64.0,
+                Counts::OneOff => {
+                    if r == odd {
+                        3.0
+                    } else {
+                        1.0
+                    }
+                }
+            })
+            .collect();
+        let s = (0..d * m).map(|_| draw.value()).collect();
+        let qp = (0..d * packed_len(m)).map(|_| draw.value()).collect();
+        let keys = keys.iter().map(|&v| k(v)).collect();
+        GroupedArena::from_parts(features, keys, c, s, qp, interner).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn block_kernel_matches_interleaved_reference_bit_for_bit(
+            seed in any::<u64>(),
+            dims in (1usize..=6, 1usize..=6),
+            shape in (0u8..7, 0u8..3, any::<bool>()),
+        ) {
+            let mut draw = Draw(seed);
+            let (ma, mb) = dims;
+            let (overlap, counts, own_interner) = shape;
+            let d = 1 + draw.below(12) as i64;
+            let base = draw.below(1000) as i64 * 100;
+            let a_keys: Vec<i64> = (0..d).map(|i| base + 2 * i).collect();
+            let (a_keys, b_keys): (Vec<i64>, Vec<i64>) = match overlap {
+                // b holds exactly a's keys
+                0 => (a_keys.clone(), a_keys),
+                // b covers a and has more, below, between and above
+                1 => (a_keys.clone(), (-1..=2 * d).map(|i| base + i).collect()),
+                // partial: b misses some of a's keys and adds its own
+                2 => (a_keys.clone(), (0..=d).map(|i| base + 3 * i).collect()),
+                // disjoint
+                3 => (a_keys.clone(), a_keys.iter().map(|v| v + 1).collect()),
+                // b is a strict prefix of a (b runs out first)
+                4 => (a_keys.clone(), a_keys[..(d as usize) / 2].to_vec()),
+                // a is empty
+                5 => (Vec::new(), a_keys),
+                // b is empty
+                _ => (a_keys, Vec::new()),
+            };
+            let counts = [Counts::Unit, Counts::Random, Counts::OneOff][counts as usize];
+            let shared = KeyInterner::new();
+            // A separate key space interns b's keys first, so ids disagree.
+            let b_interner = if own_interner { KeyInterner::new() } else { Arc::clone(&shared) };
+            let b = drawn_arena(&mut draw, "b", mb, &b_keys, counts, &b_interner);
+            let a = drawn_arena(&mut draw, "a", ma, &a_keys, Counts::Random, &shared);
+            let what = format!("ma={ma} mb={mb} overlap={overlap} {counts:?} own={own_interner}");
+            assert_kernels_agree(&a, &b, &what);
+            // The owned-output wrapper reads the same accumulators.
+            let (c, s, q, matched) = a.join_stats(&b);
+            let (mut s2, mut q2) = (Vec::new(), Vec::new());
+            let (c2, matched2) = join_stats_into_interleaved(&a, &b, &mut s2, &mut q2);
+            let mut q2_full = Vec::new();
+            unpack_upper_row(&q2, ma + mb, &mut q2_full);
+            prop_assert_eq!((c.to_bits(), matched), (c2.to_bits(), matched2));
+            prop_assert_eq!(s, s2);
+            prop_assert_eq!(q, q2_full);
+        }
+    }
+
+    #[test]
+    fn row_sums_are_dropped_by_every_row_mutation() {
+        let mut draw = Draw(7);
+        let interner = KeyInterner::new();
+        let keys: Vec<i64> = (0..9).collect();
+        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random, &interner);
+        let b = drawn_arena(&mut draw, "b", 2, &keys, Counts::Unit, &interner);
+        assert_kernels_agree(&a, &b, "fresh");
+        assert!(a.row_sums.get().is_some(), "unit full coverage takes the shared block");
+
+        // merge_add on existing keys changes row values in place …
+        let more = drawn_arena(&mut draw, "a", 3, &keys[2..5], Counts::Random, &interner);
+        a.merge_add(&more).unwrap();
+        assert!(a.row_sums.get().is_none());
+        assert_kernels_agree(&a, &b, "after in-place merge_add");
+        // … and on new keys appends rows (b no longer covers a).
+        let extra = drawn_arena(&mut draw, "a", 3, &[40, 41], Counts::Random, &interner);
+        a.merge_add(&extra).unwrap();
+        assert_kernels_agree(&a, &b, "after appending merge_add");
+
+        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random, &interner);
+        assert_kernels_agree(&a, &b, "fresh again");
+        a.for_each_row_mut(|c, s, q| {
+            *c += 1.0;
+            s[0] *= 0.5;
+            q[1] -= 3.0;
+        });
+        assert!(a.row_sums.get().is_none());
+        assert_kernels_agree(&a, &b, "after for_each_row_mut");
+
+        // `reinterned` starts from a clone, which carries the sums, and
+        // then re-orders the rows: the re-sort must drop them.
+        let reversed = KeyInterner::new();
+        for key in keys.iter().rev() {
+            reversed.intern(&k(*key));
+        }
+        let a_re = a.reinterned(&reversed);
+        assert_ne!(a_re.key_at(0), a.key_at(0), "row order really changed");
+        assert_kernels_agree(&a_re, &b.reinterned(&reversed), "after reinterned");
+        // Renaming keeps the rows, so it may keep the sums.
+        assert_kernels_agree(&a.renamed(|n| format!("r.{n}")), &b, "after renamed");
     }
 
     fn triple(features: &[&str], rows: &[&[f64]]) -> CovarTriple {

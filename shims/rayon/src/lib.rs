@@ -6,7 +6,7 @@
 //! hand-rolled `chunks(n)` parallelism this replaces).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Re-exports, mirroring `rayon::prelude`.
 pub mod prelude {
@@ -118,9 +118,13 @@ impl<'data, T: Sync, F: IndexedCall<'data, T>> ParMap<'data, T, F> {
     }
 }
 
-/// Number of worker threads to use for `n` items.
+/// Number of worker threads to use for `n` items. The hardware count is
+/// read once per process: on Linux `available_parallelism` re-reads the
+/// affinity mask and the cgroup quota files on every call, and callers fan
+/// out once per search.
 fn pool_size(n: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
     hw.min(n)
 }
 

@@ -12,6 +12,8 @@
 //! 3. **Span breakdowns add up** — a TCP search's per-stage timings sum
 //!    to its own total wall clock within tolerance, and the wire
 //!    `request_id` comes back on the reply.
+//!    Inside the run stage, cache build + round scoring + bound refresh
+//!    cover the loop's wall clock (no dark stage).
 //! 4. **The binary serves telemetry** — `mileena-server` answers the
 //!    stdin `metrics` command with a Prometheus-style dump carrying
 //!    non-zero core series, and its slow-search log records the wire
@@ -252,6 +254,53 @@ fn tcp_span_breakdown_sums_to_total_and_echoes_request_id() {
     }
 }
 
+#[test]
+fn run_span_is_covered_by_its_three_stages() {
+    // No dark stage inside `run`: candidate projection + first bounds,
+    // round scoring, and the post-join bound refresh account for the loop's
+    // wall clock. What is left is one commit per round, so the corpus holds
+    // enough candidates (~240) for per-candidate work to dwarf it: on the
+    // 10-dataset `corpus()` two commits alone are ~15% of a 0.3 ms run.
+    let c = generate_corpus(&CorpusConfig {
+        num_datasets: 240,
+        num_signal: 4,
+        num_union: 2,
+        num_novelty_traps: 4,
+        train_rows: 300,
+        test_rows: 300,
+        provider_rows: 150,
+        key_domain: 60,
+        signal_rows_per_key: 1,
+        noise: 0.1,
+        nonlinear_strength: 0.0,
+        seed: 909,
+    });
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig::default()));
+    let service = InProcess::new(Arc::clone(&platform));
+    serve(&c, &service);
+    let attempts = 5u64;
+    let mut best_ratio = 0.0f64;
+    for attempt in 0..attempts {
+        let reply = service.search(sketched(&c, &format!("stages-{attempt}")), None).unwrap();
+        let s = reply.spans;
+        assert!(!reply.steps.is_empty(), "the fixed corpus commits at least one join");
+        assert!(s.cache_build_ns > 0, "cache build measured: {s:?}");
+        assert!(s.refresh_ns > 0, "a committed join pays a bound refresh: {s:?}");
+        let staged = s.cache_build_ns + s.eval_ns + s.refresh_ns;
+        assert!(staged <= s.run_ns, "the stages nest inside the run span: {s:?}");
+        best_ratio = best_ratio.max(staged as f64 / s.run_ns as f64);
+    }
+    assert!(
+        best_ratio >= 0.9,
+        "cache_build + eval + refresh must cover >= 90% of run_ns, best was {best_ratio:.3}"
+    );
+    settle(&service, "scheduler_run_ns", attempts);
+    let report = platform.metrics();
+    let refresh = report.histogram("search_bound_refresh_ns").expect("refresh histogram");
+    assert_eq!(refresh.summary.count, attempts, "one refresh sample per search");
+    assert!(refresh.summary.sum_ns > 0);
+}
+
 /// Boot the real `mileena-server` binary with telemetry flags. Returns the
 /// child, the bound address, and a reader over its stdout (positioned just
 /// past the boot banner). Stderr — the slow-search log — goes to
@@ -344,6 +393,8 @@ fn server_binary_serves_metrics_dump_and_slow_search_log() {
         .unwrap_or_else(|| panic!("no slow-search record for request_id 48879 in:\n{log}"));
     assert!(slow_line.contains("\"total_ns\":"), "span breakdown in the record: {slow_line}");
     assert!(slow_line.contains("\"queue_wait_ns\":"), "queue wait in the record: {slow_line}");
+    assert!(slow_line.contains("\"cache_build_ns\":"), "cache build in the record: {slow_line}");
+    assert!(slow_line.contains("\"refresh_ns\":"), "bound refresh in the record: {slow_line}");
     println!("slow-search log correlated request_id={request_id}: {slow_line}");
     let _ = std::fs::remove_file(&stderr_path);
 }
