@@ -1,30 +1,29 @@
 //! Durable platform state: the semantic encoding layered over
 //! `mileena-storage`'s payload-agnostic WAL + snapshot engine.
 //!
-//! Two payload families exist, both JSON (the workspace's one
-//! deterministic, versioned serialization format):
+//! Two payload families exist, both length-prefixed little-endian binary
+//! sharing one per-dataset entry layout (format below):
 //!
 //! - **WAL records** — one [`WalOp`] per platform mutation (sketch
 //!   register/replace/remove, budget charge), journaled *before* the
 //!   in-memory state mutates. Replay after a crash re-applies exactly the
 //!   records past the last snapshot, in sequence order, so an acknowledged
 //!   mutation is never lost and a budget charge is never double-counted.
+//!   Records journaled as JSON before the binary layout still decode.
 //! - **Snapshots** — the complete [`PlatformSnapshot`]: every sketch with
 //!   its discovery profile, plus the full budget ledger (limits *and*
 //!   spent amounts — the ledger, not the sketches, is what the DP
-//!   guarantee makes mandatory to persist).
+//!   guarantee makes mandatory to persist) — and delta links holding only
+//!   what changed since the last one.
 //!
-//! Both have by-reference serializers ([`WalOpRef`],
-//! [`PlatformSnapshotRef`]) so journaling and checkpointing never deep-copy
-//! sketch slabs; byte-equivalence with the derived owned forms is pinned by
-//! tests below.
+//! The writers ([`WalOpRef`], [`PlatformSnapshotRef`], [`DeltaPayloadRef`])
+//! borrow, so journaling and checkpointing never deep-copy sketch slabs.
 
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
 use mileena_discovery::DatasetProfile;
 use mileena_privacy::PrivacyBudget;
 use mileena_sketch::DatasetSketch;
-use serde::ser::{SerializeSeq, SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -42,9 +41,9 @@ pub struct StoragePolicy {
     /// Snapshots to retain; ≥ 2 lets recovery survive a corrupted newest
     /// snapshot by falling back one checkpoint.
     pub retain_snapshots: usize,
-    /// Hydrate v2 snapshot sketches lazily: profiles and the ledger load
+    /// Hydrate snapshot sketches lazily: profiles and the ledger load
     /// eagerly at open, sketch blobs decode on first evaluation touch.
-    /// `false` forces the v1 behavior (everything materializes at open).
+    /// `false` materializes every sketch at open.
     pub lazy_hydration: bool,
     /// Spawn a background thread at open that drains the unhydrated pool
     /// while the platform already serves traffic. Only meaningful with
@@ -80,7 +79,8 @@ impl StoragePolicy {
     }
 }
 
-/// One journaled platform mutation.
+/// One journaled platform mutation. The serde derives are the JSON record
+/// layout journaled before the binary one; [`WalOp::decode`] still reads it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalOp {
     /// A provider upload entered the corpus (sketch + profile + optional
@@ -119,18 +119,59 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Decode a journaled record payload.
+    /// Decode a journaled record payload: a binary record (leading
+    /// [`WAL_RECORD_MARKER`]) or a JSON record (leading `{`, what was
+    /// journaled before the binary layout) through the derived serde path.
     pub fn decode(payload: &[u8]) -> Result<WalOp> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CoreError::Storage(format!("wal record is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
-            .map_err(|e| CoreError::Storage(format!("undecodable wal record: {e}")))
+        match payload.first() {
+            Some(&WAL_RECORD_MARKER) => Self::decode_binary(payload),
+            Some(b'{') => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|e| CoreError::Storage(format!("wal record is not UTF-8: {e}")))?;
+                serde_json::from_str(text)
+                    .map_err(|e| CoreError::Storage(format!("undecodable wal record: {e}")))
+            }
+            first => Err(CoreError::Storage(format!(
+                "unsupported wal record format (leading byte {first:x?})"
+            ))),
+        }
+    }
+
+    fn decode_binary(payload: &[u8]) -> Result<WalOp> {
+        let mut r = ByteReader::new(payload, "wal record");
+        r.u8("marker")?;
+        let op = match r.u8("op tag")? {
+            tag @ (OP_REGISTER | OP_REPLACE) => {
+                let entry = read_dataset_entry(&mut r)?;
+                let budget = match r.u8("budget tag")? {
+                    0x00 => None,
+                    0x01 => Some(r.budget("upload budget")?),
+                    tag => return Err(r.error(format!("unknown budget tag {tag:#x}"))),
+                };
+                let upload = ProviderUpload {
+                    sketch: entry.sketch.into_sketch()?,
+                    profile: entry.profile,
+                    budget,
+                };
+                if tag == OP_REGISTER {
+                    WalOp::Register { upload }
+                } else {
+                    WalOp::Replace { upload }
+                }
+            }
+            OP_REMOVE => WalOp::Remove { dataset: r.str_("dataset")? },
+            OP_GRANT => WalOp::Grant { dataset: r.str_("dataset")?, budget: r.budget("budget")? },
+            OP_CHARGE => WalOp::Charge { dataset: r.str_("dataset")?, cost: r.budget("cost")? },
+            tag => return Err(r.error(format!("unknown op tag {tag:#x}"))),
+        };
+        r.finish("record")?;
+        Ok(op)
     }
 }
 
 /// Borrowed form of [`WalOp`] — what the live mutation path journals, so a
-/// provider upload is never cloned just to hit the log. Serializes
-/// byte-identically to the derived owned form (pinned by a test).
+/// provider upload is never cloned just to hit the log. Decodes equal to
+/// the owned op it borrows from (pinned by a test).
 #[derive(Debug, Clone, Copy)]
 pub enum WalOpRef<'a> {
     /// See [`WalOp::Register`].
@@ -165,58 +206,54 @@ pub enum WalOpRef<'a> {
 }
 
 impl WalOpRef<'_> {
-    /// Encode to the journal payload.
+    /// Encode to the binary journal payload.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        serde_json::to_string(self)
-            .map(String::into_bytes)
-            .map_err(|e| CoreError::Storage(format!("encode wal record: {e}")))
-    }
-}
-
-impl Serialize for WalOpRef<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        match self {
-            WalOpRef::Register { upload } => {
-                let mut sv = serializer.serialize_struct_variant("WalOp", "Register", 1)?;
-                sv.serialize_field("upload", upload)?;
-                sv.end()
-            }
-            WalOpRef::Replace { upload } => {
-                let mut sv = serializer.serialize_struct_variant("WalOp", "Replace", 1)?;
-                sv.serialize_field("upload", upload)?;
-                sv.end()
-            }
+        let mut out = vec![WAL_RECORD_MARKER];
+        match *self {
+            WalOpRef::Register { upload } => put_upload(&mut out, OP_REGISTER, upload)?,
+            WalOpRef::Replace { upload } => put_upload(&mut out, OP_REPLACE, upload)?,
             WalOpRef::Remove { dataset } => {
-                let mut sv = serializer.serialize_struct_variant("WalOp", "Remove", 1)?;
-                sv.serialize_field("dataset", dataset)?;
-                sv.end()
+                out.push(OP_REMOVE);
+                put_str(&mut out, dataset)?;
             }
             WalOpRef::Grant { dataset, budget } => {
-                let mut sv = serializer.serialize_struct_variant("WalOp", "Grant", 2)?;
-                sv.serialize_field("dataset", dataset)?;
-                sv.serialize_field("budget", budget)?;
-                sv.end()
+                out.push(OP_GRANT);
+                put_str(&mut out, dataset)?;
+                put_budget(&mut out, &budget);
             }
             WalOpRef::Charge { dataset, cost } => {
-                let mut sv = serializer.serialize_struct_variant("WalOp", "Charge", 2)?;
-                sv.serialize_field("dataset", dataset)?;
-                sv.serialize_field("cost", cost)?;
-                sv.end()
+                out.push(OP_CHARGE);
+                put_str(&mut out, dataset)?;
+                put_budget(&mut out, &cost);
             }
         }
+        Ok(out)
     }
 }
 
-/// Snapshot-only compact form of a keyed sketch: the feature schema
-/// written **once** (the wire format repeats it per key — fine for
-/// per-upload payloads, ruinous for a full-corpus snapshot), parallel
-/// row slabs straight from the arena, and the symmetric `q` matrix packed
-/// as its upper triangle (`m(m+1)/2` of `m²` entries). Since the arena
-/// itself stores the packed triangle, this layout is now a **by-reference
-/// identity** over the slabs: compaction copies rows verbatim (key-sorted)
-/// and rehydration hands `qu` straight to `GroupedArena::from_parts` with
-/// no repacking pass in either direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+fn put_upload(out: &mut Vec<u8>, tag: u8, upload: &ProviderUpload) -> Result<()> {
+    out.push(tag);
+    put_dataset_entry(out, &upload.sketch, &upload.profile)?;
+    match &upload.budget {
+        None => out.push(0x00),
+        Some(budget) => {
+            out.push(0x01);
+            put_budget(out, budget);
+        }
+    }
+    Ok(())
+}
+
+/// Decoded compact form of a keyed sketch: the feature schema written
+/// **once** (the wire format repeats it per key — fine for per-upload
+/// payloads, ruinous for a full-corpus snapshot), parallel row slabs
+/// straight from the arena, and the symmetric `q` matrix packed as its
+/// upper triangle (`m(m+1)/2` of `m²` entries). Since the arena itself
+/// stores the packed triangle, this layout is a **by-reference identity**
+/// over the slabs: encoding copies rows verbatim (key-sorted) and
+/// rehydration hands `qu` straight to `GroupedArena::from_parts` with no
+/// repacking pass in either direction.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompactKeyed {
     /// The join-key column.
     pub key_column: String,
@@ -234,8 +271,8 @@ pub struct CompactKeyed {
 }
 
 impl CompactKeyed {
-    /// Compact a keyed sketch (owned path, used by tests; the checkpoint
-    /// writer serializes by reference instead).
+    /// Compact a keyed sketch (owned path, used by tests; the encoders
+    /// write straight from the arena instead).
     pub fn of(keyed: &mileena_sketch::KeyedSketch) -> CompactKeyed {
         let arena = keyed.arena();
         let m = arena.num_features();
@@ -266,21 +303,37 @@ impl CompactKeyed {
     /// Slab lengths are validated by `GroupedArena::from_parts` — sheared
     /// slabs surface as a typed storage error, never a panic.
     pub fn into_keyed(self) -> Result<mileena_sketch::KeyedSketch> {
+        let interner = mileena_semiring::KeyInterner::global();
+        // Arena rows — hence every float sum over them — follow key-id
+        // order, and ids follow first-interning order. Intern unseen keys
+        // in the order the wire path does (`KeyedSketch` deserialization
+        // fills a hash map in listing order, then interns in its iteration
+        // order), so a process replaying an upload numbers its keys like
+        // the process that acknowledged it.
+        if self.keys.iter().any(|key| interner.lookup(key).is_none()) {
+            let mut wire_order = mileena_relation::FxHashSet::default();
+            for key in &self.keys {
+                wire_order.insert(key.as_slice());
+            }
+            for key in wire_order {
+                interner.intern(key);
+            }
+        }
         let arena = mileena_semiring::GroupedArena::from_parts(
             self.features,
             self.keys,
             self.c,
             self.s,
             self.qu,
-            mileena_semiring::KeyInterner::global(),
+            interner,
         )
         .map_err(|e| CoreError::Storage(format!("compact sketch: {e}")))?;
         Ok(mileena_sketch::KeyedSketch::from_arena(self.key_column, arena))
     }
 }
 
-/// Snapshot-only compact form of a full dataset sketch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Decoded compact form of a full dataset sketch.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompactSketch {
     /// Dataset name.
     pub name: String,
@@ -323,9 +376,9 @@ impl CompactSketch {
     }
 }
 
-/// One dataset in a snapshot: its sketches (compact form) plus the
-/// discovery profile the index is rebuilt from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One dataset as snapshots, deltas and WAL records carry it: its sketches
+/// (compact form) plus the discovery profile the index is rebuilt from.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetEntry {
     /// The dataset's compact sketch bundle.
     pub sketch: CompactSketch,
@@ -335,7 +388,7 @@ pub struct DatasetEntry {
 
 /// One budget-ledger row: cumulative limit and spend for a dataset name —
 /// retained even after the dataset is removed (spent budget is permanent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Dataset name.
     pub dataset: String,
@@ -346,7 +399,7 @@ pub struct LedgerEntry {
 }
 
 /// The platform's complete durable state as of one WAL sequence number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSnapshot {
     /// Every registered dataset, name-sorted (store iteration order).
     pub datasets: Vec<DatasetEntry>,
@@ -355,30 +408,20 @@ pub struct PlatformSnapshot {
 }
 
 impl PlatformSnapshot {
-    /// Decode a snapshot payload, any format version: v2 binary (leading
-    /// [`SNAPSHOT_V2_MARKER`] byte) materializes every sketch blob; v1
-    /// JSON (leading `{`) takes the serde path unchanged, so snapshots
-    /// written before the binary format still recover bit-identically.
+    /// Decode a snapshot payload, materializing every sketch blob.
     pub fn decode(payload: &[u8]) -> Result<PlatformSnapshot> {
-        if payload.first() == Some(&SNAPSHOT_V2_MARKER) {
-            let index = SnapshotIndex::decode(payload)?;
-            let mut datasets = Vec::with_capacity(index.datasets.len());
-            for slot in index.datasets {
-                let sketch = slot.sketch.materialize(payload)?;
-                datasets.push(DatasetEntry { sketch, profile: slot.profile });
-            }
-            return Ok(PlatformSnapshot { datasets, ledger: index.ledger });
+        let index = SnapshotIndex::decode(payload)?;
+        let mut datasets = Vec::with_capacity(index.datasets.len());
+        for slot in index.datasets {
+            let sketch = slot.sketch.materialize(payload)?;
+            datasets.push(DatasetEntry { sketch, profile: slot.profile });
         }
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CoreError::Storage(format!("snapshot is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
-            .map_err(|e| CoreError::Storage(format!("undecodable snapshot: {e}")))
+        Ok(PlatformSnapshot { datasets, ledger: index.ledger })
     }
 }
 
 /// Borrowed snapshot writer: checkpointing serializes straight from the
-/// live store/index/ledger without cloning any sketch. Byte-identical to
-/// the derived [`PlatformSnapshot`] encoding (pinned by a test).
+/// live store/index/ledger without cloning any sketch.
 pub struct PlatformSnapshotRef<'a> {
     /// `(sketch, profile)` per dataset, name-sorted.
     pub datasets: Vec<(&'a DatasetSketch, &'a DatasetProfile)>,
@@ -386,204 +429,29 @@ pub struct PlatformSnapshotRef<'a> {
     pub ledger: &'a [(String, PrivacyBudget, PrivacyBudget)],
 }
 
-impl PlatformSnapshotRef<'_> {
-    /// Encode to the snapshot payload.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        serde_json::to_string(self)
-            .map(String::into_bytes)
-            .map_err(|e| CoreError::Storage(format!("encode snapshot: {e}")))
-    }
-}
-
-/// Serializes one keyed sketch in [`CompactKeyed`] layout straight from
-/// the arena slabs, cloning nothing but the key values themselves.
-struct CompactKeyedRef<'a>(&'a mileena_sketch::KeyedSketch);
-
-impl Serialize for CompactKeyedRef<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        use mileena_relation::KeyValue;
-        use mileena_semiring::GroupedArena;
-
-        let arena = self.0.arena();
-        // Sorted by key *value* so snapshot bytes are process-independent
-        // (arena row order follows interner-id assignment order).
-        let sorted = arena.sorted_keys();
-
-        struct Keys<'a>(&'a [(usize, Vec<KeyValue>)]);
-        impl Serialize for Keys<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-                for (_, key) in self.0 {
-                    seq.serialize_element(key)?;
-                }
-                seq.end()
-            }
-        }
-        struct Counts<'a>(&'a GroupedArena, &'a [(usize, Vec<KeyValue>)]);
-        impl Serialize for Counts<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.1.len()))?;
-                for (r, _) in self.1 {
-                    seq.serialize_element(&self.0.row(*r).0)?;
-                }
-                seq.end()
-            }
-        }
-        struct Sums<'a>(&'a GroupedArena, &'a [(usize, Vec<KeyValue>)]);
-        impl Serialize for Sums<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let m = self.0.num_features();
-                let mut seq = serializer.serialize_seq(Some(self.1.len() * m))?;
-                for (r, _) in self.1 {
-                    for v in self.0.row(*r).1 {
-                        seq.serialize_element(v)?;
-                    }
-                }
-                seq.end()
-            }
-        }
-        struct PackedQ<'a>(&'a GroupedArena, &'a [(usize, Vec<KeyValue>)]);
-        impl Serialize for PackedQ<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let m = self.0.num_features();
-                let p = mileena_semiring::packed_len(m);
-                let mut seq = serializer.serialize_seq(Some(self.1.len() * p))?;
-                for (r, _) in self.1 {
-                    // The arena row *is* the packed triangle: serialize it
-                    // verbatim.
-                    for v in self.0.row(*r).2 {
-                        seq.serialize_element(v)?;
-                    }
-                }
-                seq.end()
-            }
-        }
-
-        let mut st = serializer.serialize_struct("CompactKeyed", 6)?;
-        st.serialize_field("key_column", &self.0.key_column)?;
-        st.serialize_field("features", &arena.schema())?;
-        st.serialize_field("keys", &Keys(&sorted))?;
-        st.serialize_field("c", &Counts(arena, &sorted))?;
-        st.serialize_field("s", &Sums(arena, &sorted))?;
-        st.serialize_field("qu", &PackedQ(arena, &sorted))?;
-        st.end()
-    }
-}
-
-/// Serializes one dataset sketch in [`CompactSketch`] layout by reference.
-struct CompactSketchRef<'a>(&'a DatasetSketch);
-
-impl Serialize for CompactSketchRef<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        struct KeyedList<'a>(&'a [mileena_sketch::KeyedSketch]);
-        impl Serialize for KeyedList<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-                for keyed in self.0 {
-                    seq.serialize_element(&CompactKeyedRef(keyed))?;
-                }
-                seq.end()
-            }
-        }
-        let mut st = serializer.serialize_struct("CompactSketch", 6)?;
-        st.serialize_field("name", &self.0.name)?;
-        st.serialize_field("raw_features", &self.0.raw_features)?;
-        st.serialize_field("features", &self.0.features)?;
-        st.serialize_field("full", &self.0.full)?;
-        st.serialize_field("keyed", &KeyedList(&self.0.keyed))?;
-        st.serialize_field("row_count", &self.0.row_count)?;
-        st.end()
-    }
-}
-
-impl Serialize for PlatformSnapshotRef<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        struct EntryRef<'a>(&'a DatasetSketch, &'a DatasetProfile);
-        impl Serialize for EntryRef<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut st = serializer.serialize_struct("DatasetEntry", 2)?;
-                st.serialize_field("sketch", &CompactSketchRef(self.0))?;
-                st.serialize_field("profile", self.1)?;
-                st.end()
-            }
-        }
-        struct Datasets<'a>(&'a [(&'a DatasetSketch, &'a DatasetProfile)]);
-        impl Serialize for Datasets<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-                for (sketch, profile) in self.0 {
-                    seq.serialize_element(&EntryRef(sketch, profile))?;
-                }
-                seq.end()
-            }
-        }
-        struct LedgerRef<'a>(&'a (String, PrivacyBudget, PrivacyBudget));
-        impl Serialize for LedgerRef<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut st = serializer.serialize_struct("LedgerEntry", 3)?;
-                st.serialize_field("dataset", &self.0 .0)?;
-                st.serialize_field("limit", &self.0 .1)?;
-                st.serialize_field("spent", &self.0 .2)?;
-                st.end()
-            }
-        }
-        struct Ledger<'a>(&'a [(String, PrivacyBudget, PrivacyBudget)]);
-        impl Serialize for Ledger<'_> {
-            fn serialize<S: Serializer>(
-                &self,
-                serializer: S,
-            ) -> std::result::Result<S::Ok, S::Error> {
-                let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-                for row in self.0 {
-                    seq.serialize_element(&LedgerRef(row))?;
-                }
-                seq.end()
-            }
-        }
-        let mut st = serializer.serialize_struct("PlatformSnapshot", 2)?;
-        st.serialize_field("datasets", &Datasets(&self.datasets))?;
-        st.serialize_field("ledger", &Ledger(self.ledger))?;
-        st.end()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Snapshot format v2: binary, zero-parse slabs, per-dataset skippable blobs.
+// Binary formats: zero-parse slabs, per-dataset skippable blobs.
 //
-// Payload layout (all integers/floats little-endian):
+// Payload layouts (all integers/floats little-endian):
 //
 // ```text
-// [0x02]                                   version marker (v1 JSON is '{')
-// [u32 n_datasets]
-//   per dataset:
-//     [u32 profile_len][profile bytes]     eager: discovery needs it at open
-//     [u64 sketch_len][sketch blob]        skippable: hydrates on touch
-// [u32 n_ledger]
-//   per row: [str dataset][f64 ε_limit][f64 δ_limit][f64 ε_spent][f64 δ_spent]
+// snapshot:
+//   [0x02][u32 n_datasets][dataset entry ...][u32 n_ledger][ledger row ...]
+// delta:
+//   [0x03][u32 n_datasets][dataset entry ...][strs removed]
+//   [u32 n_ledger][ledger row ...]
+// wal record:
+//   [0x04][u8 op]
+//     0x00 Register | 0x01 Replace: [dataset entry][u8 budget tag]
+//                                   0x00 = none | 0x01 [budget]
+//     0x02 Remove: [str dataset]
+//     0x03 Grant | 0x04 Charge:     [str dataset][budget]
+//
+// dataset entry:
+//   [u32 profile_len][profile bytes]       eager: discovery needs it at open
+//   [u64 sketch_len][sketch blob]          skippable: hydrates on touch
+// ledger row: [str dataset][budget limit][budget spent]
+// budget:     [f64 ε][f64 δ]
 //
 // profile bytes:
 //   [str name][u64 rows][u32 n_columns]
@@ -609,21 +477,30 @@ impl Serialize for PlatformSnapshotRef<'_> {
 // strs = [u32 count][str ...]
 // ```
 //
-// The c/s/qu slabs — the dominant snapshot bytes — rehydrate by bulk
+// The c/s/qu slabs — the dominant bytes — rehydrate by bulk
 // `f64::from_le_bytes` copy into `GroupedArena::from_parts` with zero float
-// parsing; the per-dataset `sketch_len` prefix lets the eager open skip
-// every blob and index `(offset, len)` spans for lazy hydration.
+// parsing; the per-dataset `sketch_len` prefix lets the eager snapshot open
+// skip every blob and index `(offset, len)` spans for lazy hydration.
 // ---------------------------------------------------------------------------
 
-/// Leading payload byte of a v2 binary snapshot (v1 JSON leads with `{`).
+/// Leading payload byte of a binary snapshot.
 pub const SNAPSHOT_V2_MARKER: u8 = 0x02;
 
 /// Leading payload byte of a delta-checkpoint payload.
 pub const DELTA_MARKER: u8 = 0x03;
 
+/// Leading payload byte of a binary WAL record (JSON records lead with `{`).
+pub const WAL_RECORD_MARKER: u8 = 0x04;
+
+const OP_REGISTER: u8 = 0x00;
+const OP_REPLACE: u8 = 0x01;
+const OP_REMOVE: u8 = 0x02;
+const OP_GRANT: u8 = 0x03;
+const OP_CHARGE: u8 = 0x04;
+
 fn put_u32(out: &mut Vec<u8>, n: usize) -> Result<()> {
     let n = u32::try_from(n)
-        .map_err(|_| CoreError::Storage(format!("snapshot section too large: {n}")))?;
+        .map_err(|_| CoreError::Storage(format!("payload section too large: {n}")))?;
     out.extend_from_slice(&n.to_le_bytes());
     Ok(())
 }
@@ -647,7 +524,29 @@ fn put_budget(out: &mut Vec<u8>, b: &PrivacyBudget) {
     out.extend_from_slice(&b.delta.to_le_bytes());
 }
 
-/// Length-prefixed binary profile. Profiles are the *eager* half of a v2
+fn put_ledger(out: &mut Vec<u8>, ledger: &[(String, PrivacyBudget, PrivacyBudget)]) -> Result<()> {
+    put_u32(out, ledger.len())?;
+    for (dataset, limit, spent) in ledger {
+        put_str(out, dataset)?;
+        put_budget(out, limit);
+        put_budget(out, spent);
+    }
+    Ok(())
+}
+
+fn read_ledger(r: &mut ByteReader<'_>) -> Result<Vec<LedgerEntry>> {
+    let n_ledger = r.u32("ledger count")?;
+    let mut ledger = Vec::new();
+    for _ in 0..n_ledger {
+        let dataset = r.str_("ledger dataset")?;
+        let limit = r.budget("ledger limit")?;
+        let spent = r.budget("ledger spent")?;
+        ledger.push(LedgerEntry { dataset, limit, spent });
+    }
+    Ok(ledger)
+}
+
+/// Length-prefixed binary profile. Profiles are the *eager* half of a
 /// snapshot — every open decodes all of them before the first search — so
 /// the MinHash signatures (the dominant profile bytes) serialize as raw
 /// u64 slabs instead of JSON number lists.
@@ -692,7 +591,7 @@ fn read_profile(r: &mut ByteReader<'_>) -> Result<DatasetProfile> {
     use mileena_discovery::{ColumnProfile, MinHashSignature, TermVector};
     use mileena_relation::{DataType, FxHashMap};
     let len = r.u32("profile")?;
-    let mut pr = ByteReader::new(r.take(len, "profile")?);
+    let mut pr = ByteReader::new(r.take(len, "profile")?, r.ctx);
     let name = pr.str_("profile name")?;
     let rows = pr.u64("profile rows")? as usize;
     let n_columns = pr.u32("profile column count")?;
@@ -703,13 +602,13 @@ fn read_profile(r: &mut ByteReader<'_>) -> Result<DatasetProfile> {
             0 => DataType::Int,
             1 => DataType::Float,
             2 => DataType::Str,
-            tag => return Err(CoreError::Storage(format!("unknown column type tag {tag}"))),
+            tag => return Err(pr.error(format!("unknown column type tag {tag}"))),
         };
         let distinct = pr.u64("column distinct")? as usize;
         let non_null = pr.u64("column non_null")? as usize;
         let k = pr.u32("minhash length")?;
         let raw = pr.take(
-            k.checked_mul(8).ok_or_else(|| CoreError::Storage("minhash slab too large".into()))?,
+            k.checked_mul(8).ok_or_else(|| pr.error("minhash slab too large"))?,
             "minhash slab",
         )?;
         let mins = raw
@@ -733,23 +632,26 @@ fn read_profile(r: &mut ByteReader<'_>) -> Result<DatasetProfile> {
             terms: TermVector { counts, total },
         });
     }
-    if !pr.done() {
-        return Err(CoreError::Storage("trailing bytes after profile".into()));
-    }
+    pr.finish("profile")?;
     Ok(DatasetProfile { name, rows, columns })
 }
 
-/// Bounds-checked little-endian reader over a snapshot payload; every
-/// overrun surfaces as a typed storage error, never a panic or a
-/// corrupt-length allocation.
+/// Bounds-checked little-endian reader over one payload; every overrun
+/// surfaces as a typed storage error naming the payload (`ctx`), never a
+/// panic or a corrupt-length allocation.
 struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    ctx: &'static str,
 }
 
 impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+    fn new(buf: &'a [u8], ctx: &'static str) -> Self {
+        ByteReader { buf, pos: 0, ctx }
+    }
+
+    fn error(&self, msg: impl std::fmt::Display) -> CoreError {
+        CoreError::Storage(format!("{}: {msg}", self.ctx))
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
@@ -757,7 +659,7 @@ impl<'a> ByteReader<'a> {
             .pos
             .checked_add(n)
             .filter(|end| *end <= self.buf.len())
-            .ok_or_else(|| CoreError::Storage(format!("truncated snapshot: {what}")))?;
+            .ok_or_else(|| self.error(format!("truncated {what}")))?;
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
@@ -791,7 +693,7 @@ impl<'a> ByteReader<'a> {
         let len = self.u32(what)?;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec())
-            .map_err(|e| CoreError::Storage(format!("snapshot {what} is not UTF-8: {e}")))
+            .map_err(|e| self.error(format!("{what} is not UTF-8: {e}")))
     }
 
     fn strs(&mut self, what: &str) -> Result<Vec<String>> {
@@ -811,9 +713,7 @@ impl<'a> ByteReader<'a> {
     fn f64_slab(&mut self, what: &str) -> Result<Vec<f64>> {
         let bytes = self.u64(what)?;
         if bytes % 8 != 0 {
-            return Err(CoreError::Storage(format!(
-                "snapshot {what} slab is {bytes} bytes, not a multiple of 8"
-            )));
+            return Err(self.error(format!("{what} slab is {bytes} bytes, not a multiple of 8")));
         }
         let raw = self.take(bytes as usize, what)?;
         Ok(raw
@@ -822,8 +722,13 @@ impl<'a> ByteReader<'a> {
             .collect())
     }
 
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Every byte consumed: trailing garbage is rejected, not ignored.
+    fn finish(&self, what: &str) -> Result<()> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(self.error(format!("trailing bytes after {what}")))
+        }
     }
 }
 
@@ -849,11 +754,11 @@ fn read_key_value(r: &mut ByteReader<'_>) -> Result<mileena_relation::KeyValue> 
         0x00 => Ok(KeyValue::Null),
         0x01 => Ok(KeyValue::Int(r.i64("int key value")?)),
         0x02 => Ok(KeyValue::Str(r.str_("str key value")?)),
-        tag => Err(CoreError::Storage(format!("unknown key value tag {tag:#x}"))),
+        tag => Err(r.error(format!("unknown key value tag {tag:#x}"))),
     }
 }
 
-/// Encode one dataset sketch as a v2 binary blob, straight from the live
+/// Encode one dataset sketch as a binary blob, straight from the live
 /// arena slabs (by reference — nothing is cloned but the bytes written).
 fn encode_sketch_blob(sketch: &DatasetSketch) -> Result<Vec<u8>> {
     let mut out = Vec::new();
@@ -870,7 +775,7 @@ fn encode_sketch_blob(sketch: &DatasetSketch) -> Result<Vec<u8>> {
         let arena = keyed.arena();
         let m = arena.num_features();
         let p = mileena_semiring::packed_len(m);
-        // Sorted by key *value* so snapshot bytes are process-independent
+        // Sorted by key *value* so payload bytes are process-independent
         // (arena row order follows interner-id assignment order).
         let sorted = arena.sorted_keys();
         let d = sorted.len();
@@ -904,25 +809,15 @@ fn encode_sketch_blob(sketch: &DatasetSketch) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decode one v2 sketch blob (the lazy-hydration unit).
-pub fn decode_sketch_blob(bytes: &[u8]) -> Result<CompactSketch> {
-    let mut r = ByteReader::new(bytes);
-    let sketch = read_sketch_blob(&mut r)?;
-    if !r.done() {
-        return Err(CoreError::Storage("trailing bytes after sketch blob".into()));
-    }
-    Ok(sketch)
-}
-
 fn read_sketch_blob(r: &mut ByteReader<'_>) -> Result<CompactSketch> {
     let name = r.str_("sketch name")?;
     let raw_features = r.strs("raw features")?;
     let features = r.strs("features")?;
     let full_len = r.u32("full triple")?;
     let full_text = std::str::from_utf8(r.take(full_len, "full triple")?)
-        .map_err(|e| CoreError::Storage(format!("full triple is not UTF-8: {e}")))?;
+        .map_err(|e| r.error(format!("full triple is not UTF-8: {e}")))?;
     let full: mileena_semiring::CovarTriple = serde_json::from_str(full_text)
-        .map_err(|e| CoreError::Storage(format!("undecodable full triple: {e}")))?;
+        .map_err(|e| r.error(format!("undecodable full triple: {e}")))?;
     let row_count = r.u64("row count")? as usize;
     let n_keyed = r.u32("keyed count")?;
     let mut keyed = Vec::new();
@@ -947,35 +842,63 @@ fn read_sketch_blob(r: &mut ByteReader<'_>) -> Result<CompactSketch> {
     Ok(CompactSketch { name, raw_features, features, full, keyed, row_count })
 }
 
-/// Where one dataset's sketch bytes live in a decoded snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SketchRegion {
-    /// v1 JSON: the sketch came as part of the document, already
-    /// materialized.
-    Inline(Box<CompactSketch>),
-    /// v2 binary: a skippable span of the shared payload; decode on touch.
-    Span {
-        /// Byte offset of the blob in the payload.
-        offset: usize,
-        /// Blob length in bytes.
-        len: usize,
-    },
+/// Write one dataset entry — the unit snapshots, deltas and WAL records
+/// share: the profile, then the length-prefixed sketch blob.
+fn put_dataset_entry(
+    out: &mut Vec<u8>,
+    sketch: &DatasetSketch,
+    profile: &DatasetProfile,
+) -> Result<()> {
+    put_profile(out, profile)?;
+    let blob = encode_sketch_blob(sketch)?;
+    out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+    out.extend_from_slice(&blob);
+    Ok(())
+}
+
+/// Read one dataset entry's profile and skip its sketch blob, returning
+/// where the blob lies in the reader's payload (the lazy snapshot path).
+fn read_entry_span(r: &mut ByteReader<'_>) -> Result<(DatasetProfile, SketchRegion)> {
+    let profile = read_profile(r)?;
+    let len = r.u64("sketch blob")? as usize;
+    let offset = r.pos;
+    r.take(len, "sketch blob")?;
+    Ok((profile, SketchRegion { offset, len }))
+}
+
+/// Read one dataset entry, decoding its sketch blob eagerly.
+fn read_dataset_entry(r: &mut ByteReader<'_>) -> Result<DatasetEntry> {
+    let (profile, region) = read_entry_span(r)?;
+    let sketch = region.decode(r.buf, r.ctx)?;
+    Ok(DatasetEntry { sketch, profile })
+}
+
+/// Where one dataset's sketch blob lives in a snapshot payload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SketchRegion {
+    /// Byte offset of the blob in the payload.
+    pub offset: usize,
+    /// Blob length in bytes.
+    pub len: usize,
 }
 
 impl SketchRegion {
-    /// Materialize the compact sketch (decoding the span against the
-    /// payload it was indexed from).
+    /// Decode the compact sketch from the snapshot payload this region
+    /// was indexed from (the lazy-hydration unit).
     pub fn materialize(self, payload: &[u8]) -> Result<CompactSketch> {
-        match self {
-            SketchRegion::Inline(sketch) => Ok(*sketch),
-            SketchRegion::Span { offset, len } => {
-                let end = offset
-                    .checked_add(len)
-                    .filter(|end| *end <= payload.len())
-                    .ok_or_else(|| CoreError::Storage("sketch span out of bounds".into()))?;
-                decode_sketch_blob(&payload[offset..end])
-            }
-        }
+        self.decode(payload, "snapshot")
+    }
+
+    fn decode(self, payload: &[u8], ctx: &'static str) -> Result<CompactSketch> {
+        let blob = self
+            .offset
+            .checked_add(self.len)
+            .and_then(|end| payload.get(self.offset..end))
+            .ok_or_else(|| CoreError::Storage(format!("{ctx}: sketch span out of bounds")))?;
+        let mut r = ByteReader::new(blob, ctx);
+        let sketch = read_sketch_blob(&mut r)?;
+        r.finish("sketch blob")?;
+        Ok(sketch)
     }
 }
 
@@ -988,7 +911,7 @@ pub struct DatasetSlot {
     pub name: String,
     /// The discovery profile.
     pub profile: DatasetProfile,
-    /// The sketch bytes (inline for v1, a payload span for v2).
+    /// The sketch blob's span in the payload.
     pub sketch: SketchRegion,
 }
 
@@ -1004,73 +927,40 @@ pub struct SnapshotIndex {
 }
 
 impl SnapshotIndex {
-    /// Decode a snapshot payload's eager skeleton, either format version.
-    /// For v1 JSON the sketches are already materialized (inline); for v2
-    /// each sketch is a `(offset, len)` span into `payload`.
+    /// Decode a snapshot payload's eager skeleton; each sketch is an
+    /// `(offset, len)` span into `payload`. A payload that is not a binary
+    /// snapshot (the JSON snapshots written before it lead with `{`) is
+    /// refused with a typed storage error.
     pub fn decode(payload: &[u8]) -> Result<SnapshotIndex> {
         if payload.first() != Some(&SNAPSHOT_V2_MARKER) {
-            let snapshot = PlatformSnapshot::decode(payload)?;
-            let datasets = snapshot
-                .datasets
-                .into_iter()
-                .map(|entry| DatasetSlot {
-                    name: entry.sketch.name.clone(),
-                    profile: entry.profile,
-                    sketch: SketchRegion::Inline(Box::new(entry.sketch)),
-                })
-                .collect();
-            return Ok(SnapshotIndex { datasets, ledger: snapshot.ledger });
+            return Err(CoreError::Storage(format!(
+                "unsupported snapshot format (leading byte {:x?})",
+                payload.first()
+            )));
         }
-        let mut r = ByteReader::new(payload);
+        let mut r = ByteReader::new(payload, "snapshot");
         r.u8("version marker")?;
         let n_datasets = r.u32("dataset count")?;
         let mut datasets = Vec::new();
         for _ in 0..n_datasets {
-            let profile = read_profile(&mut r)?;
-            let len = r.u64("sketch blob")? as usize;
-            let offset = r.pos;
-            r.take(len, "sketch blob")?;
-            datasets.push(DatasetSlot {
-                name: profile.name.clone(),
-                profile,
-                sketch: SketchRegion::Span { offset, len },
-            });
+            let (profile, sketch) = read_entry_span(&mut r)?;
+            datasets.push(DatasetSlot { name: profile.name.clone(), profile, sketch });
         }
-        let n_ledger = r.u32("ledger count")?;
-        let mut ledger = Vec::new();
-        for _ in 0..n_ledger {
-            let dataset = r.str_("ledger dataset")?;
-            let limit = r.budget("ledger limit")?;
-            let spent = r.budget("ledger spent")?;
-            ledger.push(LedgerEntry { dataset, limit, spent });
-        }
-        if !r.done() {
-            return Err(CoreError::Storage("trailing bytes after snapshot".into()));
-        }
+        let ledger = read_ledger(&mut r)?;
+        r.finish("snapshot")?;
         Ok(SnapshotIndex { datasets, ledger })
     }
 }
 
 impl PlatformSnapshotRef<'_> {
-    /// Encode to the v2 binary payload (the checkpoint writer's format;
-    /// [`encode`](Self::encode) keeps producing v1 JSON for the
-    /// format-evolution pin tests).
-    pub fn encode_binary(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        out.push(SNAPSHOT_V2_MARKER);
+    /// Encode to the binary snapshot payload.
+    pub fn encode(&self) -> Result<Vec<u8>> {
+        let mut out = vec![SNAPSHOT_V2_MARKER];
         put_u32(&mut out, self.datasets.len())?;
         for (sketch, profile) in &self.datasets {
-            put_profile(&mut out, profile)?;
-            let blob = encode_sketch_blob(sketch)?;
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(&blob);
+            put_dataset_entry(&mut out, sketch, profile)?;
         }
-        put_u32(&mut out, self.ledger.len())?;
-        for (dataset, limit, spent) in self.ledger {
-            put_str(&mut out, dataset)?;
-            put_budget(&mut out, limit);
-            put_budget(&mut out, spent);
-        }
+        put_ledger(&mut out, self.ledger)?;
         Ok(out)
     }
 }
@@ -1090,36 +980,24 @@ impl DeltaPayload {
     /// Decode a delta payload (leading [`DELTA_MARKER`] byte). Deltas are
     /// small — everything materializes eagerly.
     pub fn decode(payload: &[u8]) -> Result<DeltaPayload> {
-        let mut r = ByteReader::new(payload);
+        let mut r = ByteReader::new(payload, "delta");
         if r.u8("delta marker")? != DELTA_MARKER {
-            return Err(CoreError::Storage("not a delta payload".into()));
+            return Err(r.error("unsupported delta format"));
         }
-        let n_datasets = r.u32("delta dataset count")?;
+        let n_datasets = r.u32("dataset count")?;
         let mut datasets = Vec::new();
         for _ in 0..n_datasets {
-            let profile = read_profile(&mut r)?;
-            let len = r.u64("delta sketch blob")? as usize;
-            let sketch = decode_sketch_blob(r.take(len, "delta sketch blob")?)?;
-            datasets.push(DatasetEntry { sketch, profile });
+            datasets.push(read_dataset_entry(&mut r)?);
         }
-        let removed = r.strs("delta removed")?;
-        let n_ledger = r.u32("delta ledger count")?;
-        let mut ledger = Vec::new();
-        for _ in 0..n_ledger {
-            let dataset = r.str_("delta ledger dataset")?;
-            let limit = r.budget("delta ledger limit")?;
-            let spent = r.budget("delta ledger spent")?;
-            ledger.push(LedgerEntry { dataset, limit, spent });
-        }
-        if !r.done() {
-            return Err(CoreError::Storage("trailing bytes after delta".into()));
-        }
+        let removed = r.strs("removed")?;
+        let ledger = read_ledger(&mut r)?;
+        r.finish("delta")?;
         Ok(DeltaPayload { datasets, removed, ledger })
     }
 }
 
 /// Borrowed delta writer: serializes the changed subset straight from the
-/// live store, same dataset-entry layout as the v2 snapshot body.
+/// live store, same dataset-entry layout as the snapshot body.
 pub struct DeltaPayloadRef<'a> {
     /// `(sketch, profile)` per changed dataset, name-sorted.
     pub datasets: Vec<(&'a DatasetSketch, &'a DatasetProfile)>,
@@ -1132,22 +1010,13 @@ pub struct DeltaPayloadRef<'a> {
 impl DeltaPayloadRef<'_> {
     /// Encode to the delta payload.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        out.push(DELTA_MARKER);
+        let mut out = vec![DELTA_MARKER];
         put_u32(&mut out, self.datasets.len())?;
         for (sketch, profile) in &self.datasets {
-            put_profile(&mut out, profile)?;
-            let blob = encode_sketch_blob(sketch)?;
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(&blob);
+            put_dataset_entry(&mut out, sketch, profile)?;
         }
         put_strs(&mut out, self.removed)?;
-        put_u32(&mut out, self.ledger.len())?;
-        for (dataset, limit, spent) in self.ledger {
-            put_str(&mut out, dataset)?;
-            put_budget(&mut out, limit);
-            put_budget(&mut out, spent);
-        }
+        put_ledger(&mut out, self.ledger)?;
         Ok(out)
     }
 }
@@ -1187,7 +1056,7 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use crate::local::LocalDataStore;
-    use mileena_relation::RelationBuilder;
+    use mileena_relation::{KeyValue, RelationBuilder};
 
     fn upload() -> ProviderUpload {
         let r = RelationBuilder::new("d")
@@ -1200,47 +1069,68 @@ mod tests {
             .unwrap()
     }
 
+    /// A non-private upload with an extra keyed sketch whose composite keys
+    /// mix every key value kind (Null / Int / Str).
+    fn mixed_key_upload() -> ProviderUpload {
+        let mut u = second_upload();
+        let arena = mileena_semiring::GroupedArena::from_parts(
+            vec!["e.w".to_string()],
+            vec![
+                vec![KeyValue::Null, KeyValue::Int(-7)],
+                vec![KeyValue::Str("ny".into()), KeyValue::Null],
+                vec![KeyValue::Int(3), KeyValue::Str("sf".into())],
+            ],
+            vec![1.0, 2.0, 3.0],
+            vec![0.5, -1.5, 2.25],
+            vec![0.25, 2.25, 5.0625],
+            mileena_semiring::KeyInterner::global(),
+        )
+        .unwrap();
+        u.sketch.keyed.push(mileena_sketch::KeyedSketch::from_arena("pair", arena));
+        u
+    }
+
+    fn by_ref(op: &WalOp) -> WalOpRef<'_> {
+        match op {
+            WalOp::Register { upload } => WalOpRef::Register { upload },
+            WalOp::Replace { upload } => WalOpRef::Replace { upload },
+            WalOp::Remove { dataset } => WalOpRef::Remove { dataset },
+            WalOp::Grant { dataset, budget } => WalOpRef::Grant { dataset, budget: *budget },
+            WalOp::Charge { dataset, cost } => WalOpRef::Charge { dataset, cost: *cost },
+        }
+    }
+
+    /// Every variant, private and non-private uploads, Int / Str / Null keys.
+    fn every_op() -> Vec<WalOp> {
+        vec![
+            WalOp::Register { upload: upload() },
+            WalOp::Register { upload: mixed_key_upload() },
+            WalOp::Replace { upload: second_upload() },
+            WalOp::Replace { upload: upload() },
+            WalOp::Remove { dataset: "d".into() },
+            WalOp::Grant { dataset: "d".into(), budget: PrivacyBudget::new(2.0, 1e-7).unwrap() },
+            WalOp::Charge { dataset: "d".into(), cost: PrivacyBudget::new(0.25, 1e-9).unwrap() },
+        ]
+    }
+
     #[test]
     fn wal_op_roundtrip() {
-        let ops = vec![
-            WalOp::Register { upload: upload() },
-            WalOp::Remove { dataset: "d".into() },
-            WalOp::Charge { dataset: "d".into(), cost: PrivacyBudget::new(0.5, 0.0).unwrap() },
-        ];
-        for op in ops {
-            let json = serde_json::to_string(&op).unwrap();
-            let back = WalOp::decode(json.as_bytes()).unwrap();
-            assert_eq!(op, back);
+        for op in every_op() {
+            let bytes = by_ref(&op).encode().unwrap();
+            assert_eq!(bytes[0], WAL_RECORD_MARKER);
+            assert_eq!(WalOp::decode(&bytes).unwrap(), op);
         }
     }
 
     #[test]
-    fn borrowed_wal_encoding_matches_owned() {
-        let u = upload();
-        let cases = vec![
-            (WalOpRef::Register { upload: &u }, WalOp::Register { upload: u.clone() }),
-            (WalOpRef::Replace { upload: &u }, WalOp::Replace { upload: u.clone() }),
-            (WalOpRef::Remove { dataset: "d" }, WalOp::Remove { dataset: "d".into() }),
-            (
-                WalOpRef::Grant { dataset: "d", budget: PrivacyBudget::new(2.0, 1e-7).unwrap() },
-                WalOp::Grant {
-                    dataset: "d".into(),
-                    budget: PrivacyBudget::new(2.0, 1e-7).unwrap(),
-                },
-            ),
-            (
-                WalOpRef::Charge { dataset: "d", cost: PrivacyBudget::new(0.25, 1e-9).unwrap() },
-                WalOp::Charge {
-                    dataset: "d".into(),
-                    cost: PrivacyBudget::new(0.25, 1e-9).unwrap(),
-                },
-            ),
-        ];
-        for (by_ref, owned) in cases {
-            assert_eq!(
-                String::from_utf8(by_ref.encode().unwrap()).unwrap(),
-                serde_json::to_string(&owned).unwrap(),
-            );
+    fn by_ref_and_owned_wal_records_decode_equal() {
+        // The owned op's derived `Serialize` is the JSON record layout
+        // journaled before the binary one: both decode to the same op.
+        for op in every_op() {
+            let binary = WalOp::decode(&by_ref(&op).encode().unwrap()).unwrap();
+            let json = WalOp::decode(serde_json::to_string(&op).unwrap().as_bytes()).unwrap();
+            assert_eq!(binary, json);
+            assert_eq!(json, op);
         }
     }
 
@@ -1266,10 +1156,6 @@ mod tests {
             }],
         };
         let bytes = by_ref.encode().unwrap();
-        assert_eq!(
-            String::from_utf8(bytes.clone()).unwrap(),
-            serde_json::to_string(&owned).unwrap(),
-        );
         let decoded = PlatformSnapshot::decode(&bytes).unwrap();
         assert_eq!(decoded, owned);
     }
@@ -1282,12 +1168,6 @@ mod tests {
         let u = upload();
         let back = CompactSketch::of(&u.sketch).into_sketch().unwrap();
         assert_eq!(u.sketch, back);
-
-        // Compact form is strictly smaller than the wire form for keyed
-        // sketches (the point of having it).
-        let compact = serde_json::to_string(&CompactSketch::of(&u.sketch)).unwrap();
-        let wire = serde_json::to_string(&u.sketch).unwrap();
-        assert!(compact.len() < wire.len(), "{} !< {}", compact.len(), wire.len());
     }
 
     #[test]
@@ -1303,8 +1183,37 @@ mod tests {
         assert!(WalOp::decode(&[0xFF, 0xFE]).is_err());
         assert!(PlatformSnapshot::decode(b"[]").is_err());
         assert!(PlatformSnapshot::decode(&[SNAPSHOT_V2_MARKER]).is_err());
+        assert!(matches!(
+            PlatformSnapshot::decode(b"{}"),
+            Err(CoreError::Storage(m)) if m.contains("unsupported snapshot format")
+        ));
         assert!(DeltaPayload::decode(&[DELTA_MARKER, 0xFF]).is_err());
         assert!(DeltaPayload::decode(b"{}").is_err());
+
+        // Binary WAL records: every strict prefix and one trailing byte
+        // are refused with a typed storage error.
+        for op in every_op() {
+            let bytes = by_ref(&op).encode().unwrap();
+            for len in 0..bytes.len() {
+                assert!(
+                    matches!(WalOp::decode(&bytes[..len]), Err(CoreError::Storage(_))),
+                    "prefix of {len}/{} bytes of {op:?} decoded",
+                    bytes.len()
+                );
+            }
+            let mut padded = bytes;
+            padded.push(0x00);
+            assert!(matches!(WalOp::decode(&padded), Err(CoreError::Storage(_))));
+        }
+        let unknown_op = WalOp::decode(&[WAL_RECORD_MARKER, 0x05]);
+        assert!(matches!(unknown_op, Err(CoreError::Storage(m)) if m.contains("unknown op tag")));
+        // A non-private upload's record ends in its budget tag (0x00).
+        let mut bytes = WalOpRef::Register { upload: &mixed_key_upload() }.encode().unwrap();
+        *bytes.last_mut().unwrap() = 0x02;
+        let unknown_budget = WalOp::decode(&bytes);
+        assert!(
+            matches!(unknown_budget, Err(CoreError::Storage(m)) if m.contains("unknown budget tag"))
+        );
     }
 
     fn second_upload() -> ProviderUpload {
@@ -1346,9 +1255,10 @@ mod tests {
     #[test]
     fn binary_snapshot_roundtrips_bit_identically() {
         let (by_ref, owned) = reference_snapshot();
-        let bytes = by_ref.encode_binary().unwrap();
+        let bytes = by_ref.encode().unwrap();
         assert_eq!(bytes[0], SNAPSHOT_V2_MARKER);
-        // Full decode is value-identical to the v1 path over the same state.
+        // Full decode is value-identical to the owned compaction of the
+        // same state.
         let decoded = PlatformSnapshot::decode(&bytes).unwrap();
         assert_eq!(decoded, owned);
         // The rehydrated sketches are bit-identical to the originals (the
@@ -1361,26 +1271,21 @@ mod tests {
     #[test]
     fn snapshot_index_spans_hydrate_independently() {
         let (by_ref, owned) = reference_snapshot();
-        let bytes = by_ref.encode_binary().unwrap();
+        let bytes = by_ref.encode().unwrap();
         let index = SnapshotIndex::decode(&bytes).unwrap();
         assert_eq!(index.datasets.len(), 2);
         assert_eq!(index.ledger, owned.ledger);
         for (slot, entry) in index.datasets.into_iter().zip(owned.datasets) {
             assert_eq!(slot.name, entry.profile.name);
             assert_eq!(slot.profile, entry.profile);
-            assert!(matches!(slot.sketch, SketchRegion::Span { .. }));
             assert_eq!(slot.sketch.materialize(&bytes).unwrap(), entry.sketch);
         }
-        // The v1 JSON form indexes too (inline, already materialized).
-        let v1 = by_ref.encode().unwrap();
-        let index = SnapshotIndex::decode(&v1).unwrap();
-        assert!(index.datasets.iter().all(|s| matches!(s.sketch, SketchRegion::Inline(_))));
     }
 
     #[test]
     fn binary_snapshot_rejects_every_truncation() {
         let (by_ref, _) = reference_snapshot();
-        let bytes = by_ref.encode_binary().unwrap();
+        let bytes = by_ref.encode().unwrap();
         for len in 0..bytes.len() {
             assert!(
                 PlatformSnapshot::decode(&bytes[..len]).is_err(),

@@ -13,8 +13,8 @@
 //! results do not depend on how the corpus is partitioned.
 
 use crate::durable::{
-    DeltaPayload, DeltaPayloadRef, PlatformSnapshotRef, RecoveryReport, SketchRegion,
-    SnapshotIndex, StoragePolicy, WalOp, WalOpRef,
+    DeltaPayload, DeltaPayloadRef, PlatformSnapshotRef, RecoveryReport, SnapshotIndex,
+    StoragePolicy, WalOp, WalOpRef,
 };
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
@@ -22,10 +22,9 @@ use crate::wire::{CheckpointReceipt, DiscoveryReport, StorageReport};
 use mileena_discovery::{DatasetProfile, DiscoveryConfig, DiscoveryIndex, TermSpace};
 use mileena_obs::{Metrics, MetricsReport};
 use mileena_privacy::{BudgetAccountant, PrivacyBudget};
-use mileena_sketch::{SketchError, SketchStore};
+use mileena_sketch::{DatasetSketch, SketchError, SketchStore};
 use mileena_storage::{StorageEngine, StorageOptions};
 use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -158,10 +157,9 @@ impl Shard {
 
         // 1. Hydrate the snapshot skeleton. Profiles and the ledger load
         //    eagerly — discovery and budget accounting need them before the
-        //    first search — while v2 sketch blobs stay as lazy spans that
+        //    first search — while sketch blobs stay as lazy spans that
         //    decode on first evaluation touch, so time-to-first-search is
-        //    independent of sketch volume. v1 JSON snapshots (inline
-        //    sketches) keep materializing everything at open.
+        //    independent of sketch volume.
         let snapshot_seq = recovered.snapshot.as_ref().map(|(seq, _)| *seq);
         let mut profiles: std::collections::BTreeMap<String, DatasetProfile> =
             std::collections::BTreeMap::new();
@@ -172,28 +170,24 @@ impl Shard {
             let payload: Arc<Vec<u8>> = Arc::new(payload);
             for slot in snap_index.datasets {
                 profiles.insert(slot.name.clone(), slot.profile);
-                match slot.sketch {
-                    SketchRegion::Span { offset, len } if policy.lazy_hydration => {
-                        let payload = Arc::clone(&payload);
-                        store
-                            .register_lazy(
-                                &slot.name,
-                                Box::new(move |_background| {
-                                    crate::durable::decode_sketch_blob(
-                                        &payload[offset..offset + len],
-                                    )
-                                    .map_err(|e| e.to_string())?
-                                    .into_sketch()
+                let region = slot.sketch;
+                if policy.lazy_hydration {
+                    let payload = Arc::clone(&payload);
+                    store
+                        .register_lazy(
+                            &slot.name,
+                            Box::new(move |_background| {
+                                region
+                                    .materialize(&payload)
+                                    .and_then(|sketch| sketch.into_sketch())
                                     .map_err(|e| e.to_string())
-                                }),
-                            )
-                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
-                    }
-                    region => {
-                        store
-                            .register(region.materialize(&payload)?.into_sketch()?)
-                            .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
-                    }
+                            }),
+                        )
+                        .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
+                } else {
+                    store
+                        .register(region.materialize(&payload)?.into_sketch()?)
+                        .map_err(|e| CoreError::Storage(format!("snapshot hydration: {e}")))?;
                 }
             }
             for row in snap_index.ledger {
@@ -224,24 +218,16 @@ impl Shard {
         }
 
         // 3. Replay the WAL tail on top, skipping records the delta chain
-        //    already covers. Frame decode — the dominant replay cost, each
-        //    record embeds a full upload document — fans out on the worker
-        //    pool; apply stays sequential in sequence order so budget
-        //    accounting is never double-spent.
+        //    already covers: decode and apply one record at a time, in
+        //    sequence order, so budget accounting is never double-spent.
         let replay_started = Instant::now();
-        let tail: Vec<_> =
-            recovered.records.iter().filter(|record| record.seq > chain_head).collect();
-        let replayed_records = tail.len() as u64;
-        let decoded: Vec<Result<WalOp>> = tail
-            .par_iter()
-            .map(|record| {
-                WalOp::decode(&record.payload)
-                    .map_err(|e| CoreError::Storage(format!("record {}: {e}", record.seq)))
-            })
-            .collect();
-        for (record, op) in tail.iter().zip(decoded) {
-            Self::replay(store, &mut profiles, accountant, op?)
+        let mut replayed_records = 0u64;
+        for record in recovered.records.iter().filter(|record| record.seq > chain_head) {
+            let op = WalOp::decode(&record.payload)
+                .map_err(|e| CoreError::Storage(format!("record {}: {e}", record.seq)))?;
+            Self::replay(store, &mut profiles, accountant, op)
                 .map_err(|e| CoreError::Storage(format!("replay record {}: {e}", record.seq)))?;
+            replayed_records += 1;
         }
         let replay_ms = replay_started.elapsed().as_millis() as u64;
 
@@ -393,7 +379,7 @@ impl Shard {
             datasets.push((sketch.as_ref(), profile));
         }
         let ledger = self.accountant.lock().entries();
-        let payload = PlatformSnapshotRef { datasets, ledger: &ledger }.encode_binary()?;
+        let payload = PlatformSnapshotRef { datasets, ledger: &ledger }.encode()?;
         let seq = state.engine.as_mut().expect("checked above").checkpoint(&payload)?;
         state.clear_dirty();
         self.metrics.snapshots_written.inc();
@@ -507,13 +493,14 @@ impl Shard {
     pub(crate) fn register(&self, upload: ProviderUpload) -> Result<()> {
         let mut state = self.durable.lock();
         let name = upload.sketch.name.clone();
-        // Validate: name free, budget unregistered.
+        // Validate: name free, budget unregistered, every value finite.
         if self.store.contains(&name) {
             return Err(SketchError::DuplicateDataset(name).into());
         }
         if upload.budget.is_some() && self.accountant.lock().spent(&name).is_some() {
             return Err(CoreError::Privacy(format!("dataset {name} already has a budget")));
         }
+        check_finite(&upload.sketch)?;
         // Journal, then apply.
         self.journal(&mut state, WalOpRef::Register { upload: &upload })?;
         let budget = upload.budget;
@@ -544,6 +531,7 @@ impl Shard {
     pub(crate) fn replace(&self, upload: ProviderUpload) -> Result<()> {
         let mut state = self.durable.lock();
         let name = upload.sketch.name.clone();
+        check_finite(&upload.sketch)?;
         self.journal(&mut state, WalOpRef::Replace { upload: &upload })?;
         let budget = upload.budget;
         self.store.replace(upload.sketch);
@@ -638,4 +626,32 @@ impl Shard {
     pub(crate) fn budget_remaining(&self, dataset: &str) -> Result<PrivacyBudget> {
         Ok(self.accountant.lock().remaining(dataset)?)
     }
+}
+
+/// Refuse a sketch holding an `inf` or `NaN`: it would not survive the
+/// journal (the full triple is stored as JSON, where both become `null`),
+/// so recovery would hold a different sketch than the one acknowledged.
+fn check_finite(sketch: &DatasetSketch) -> Result<()> {
+    let finite = |values: &[f64]| values.iter().all(|v| v.is_finite());
+    let full = &sketch.full;
+    if !(full.c.is_finite() && finite(&full.s) && finite(&full.q)) {
+        return Err(CoreError::Sketch(format!(
+            "dataset {}: non-finite value in the full sketch",
+            sketch.name
+        )));
+    }
+    for keyed in &sketch.keyed {
+        let arena = keyed.arena();
+        let rows_finite = (0..arena.num_keys()).all(|r| {
+            let (c, s, qu) = arena.row(r);
+            c.is_finite() && finite(s) && finite(qu)
+        });
+        if !rows_finite {
+            return Err(CoreError::Sketch(format!(
+                "dataset {}: non-finite value in the sketch keyed by {}",
+                sketch.name, keyed.key_column
+            )));
+        }
+    }
+    Ok(())
 }

@@ -200,7 +200,10 @@ fn frame_at(bytes: &[u8], pos: usize) -> Option<u64> {
     let seq = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
     let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes"));
-    if len > MAX_RECORD_LEN {
+    // An empty frame is a seq followed by eight zero bytes (the CRC of
+    // nothing is 0) — a pattern binary payloads hold routinely, so it
+    // proves nothing. Writers never commit one.
+    if len == 0 || len > MAX_RECORD_LEN {
         return None;
     }
     let body_start = pos + FRAME_HEADER_LEN;
@@ -267,8 +270,11 @@ impl SegmentWriter {
     }
 
     /// Append one framed record; flushes to the OS, and to disk when
-    /// `fsync` is set.
+    /// `fsync` is set. Payloads are non-empty (see [`frame_at`]).
     pub fn append(&mut self, seq: u64, payload: &[u8], fsync: bool) -> Result<()> {
+        if payload.is_empty() {
+            return Err(StorageError::InvalidState("empty record payload".into()));
+        }
         if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
             return Err(StorageError::InvalidState(format!(
                 "record of {} bytes exceeds the {MAX_RECORD_LEN}-byte frame limit",
@@ -356,6 +362,30 @@ mod tests {
         let scan = read_segment(&path).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records[1].payload, b"rewritten");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_payload_holding_an_empty_frame_pattern_is_still_a_tear() {
+        // A binary payload can hold the next seq followed by eight zero
+        // bytes: an empty, checksum-valid frame. A tear inside it must not
+        // read as damage before an intact successor.
+        let dir = tmp_dir("empty-frame");
+        let path = segment_path(&dir, 1);
+        let mut w = SegmentWriter::create(&dir, 1).unwrap();
+        w.append(1, b"keep me", false).unwrap();
+        let mut payload = b"head".to_vec();
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend_from_slice(&[0; 8]);
+        payload.extend_from_slice(b"tail");
+        w.append(2, &payload, false).unwrap();
+        assert!(w.append(3, b"", false).is_err(), "empty payloads are never committed");
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
+        let scan = read_segment(&path).unwrap();
+        assert!(scan.torn);
+        assert_eq!(scan.records.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,12 +10,14 @@
 //! in fact, which is stronger).
 
 use mileena::core::{
-    CentralPlatform, JsonWire, LocalDataStore, PlatformConfig, PlatformService, ProviderUpload,
-    StoragePolicy,
+    CentralPlatform, CoreError, JsonWire, LocalDataStore, PlatformConfig, PlatformService,
+    ProviderUpload, StoragePolicy, WalOp,
 };
 use mileena::datagen::{generate_corpus, CorpusConfig, NycCorpus};
 use mileena::privacy::PrivacyBudget;
+use mileena::relation::RelationBuilder;
 use mileena::search::{SearchConfig, SearchRequest, TaskSpec};
+use mileena::storage::{StorageEngine, StorageOptions};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -41,6 +43,17 @@ impl Op {
             Op::Remove(name) => platform.remove(name).unwrap(),
             Op::Grant(name, budget) => platform.grant_budget(name, *budget).unwrap(),
             Op::Charge(name, cost) => platform.charge_budget(name, *cost).unwrap(),
+        }
+    }
+
+    /// The journaled form of this op.
+    fn wal_op(&self) -> WalOp {
+        match self.clone() {
+            Op::Register(upload) => WalOp::Register { upload },
+            Op::Replace(upload) => WalOp::Replace { upload },
+            Op::Remove(dataset) => WalOp::Remove { dataset },
+            Op::Grant(dataset, budget) => WalOp::Grant { dataset, budget },
+            Op::Charge(dataset, cost) => WalOp::Charge { dataset, cost },
         }
     }
 
@@ -246,6 +259,28 @@ fn materialize_delta_dir(tag: &str, keep: impl Fn(usize) -> bool) -> PathBuf {
     dir
 }
 
+/// Every fixture op as a WAL record payload, twice: the binary record the
+/// fixture segment holds and the JSON record the same op was journaled as
+/// before the binary layout.
+fn wal_records() -> &'static Vec<Vec<u8>> {
+    static RECORDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    RECORDS.get_or_init(|| {
+        let fx = fixture();
+        let dir = base_dir("records");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(&fx.seg_name), &fx.seg_bytes).unwrap();
+        let (_, recovered) = StorageEngine::open(&dir, StorageOptions::default()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut records: Vec<Vec<u8>> = recovered.records.into_iter().map(|r| r.payload).collect();
+        assert_eq!(records.len(), fx.ops.len());
+        for op in &fx.ops {
+            records.push(serde_json::to_string(&op.wal_op()).unwrap().into_bytes());
+        }
+        records
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Property: any byte-prefix of the WAL recovers to a consistent op prefix.
 
@@ -325,10 +360,10 @@ proptest! {
                 }
             }
             Err(e) => {
-                // A flip inside the JSON payload that happens to keep the
-                // CRC... cannot happen (CRC covers the payload); but a flip
-                // that keeps the file *valid* yet undecodable surfaces as a
-                // loud storage error — never silent divergence.
+                // A flip inside the payload that keeps the CRC cannot
+                // happen (the CRC covers the payload); but a flip that keeps
+                // the file *valid* yet undecodable surfaces as a loud
+                // storage error — never silent divergence.
                 prop_assert!(e.to_string().contains("storage"), "{}", e);
             }
         }
@@ -388,6 +423,36 @@ proptest! {
         let reference = fx.reference_prefix(fx.ops.len());
         assert_state_parity(fx, &recovered, &reference)?;
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_flip_or_truncation_of_a_wal_record_decodes_or_fails_typed(
+        pick in 0usize..1024,
+        scale in 0u32..18,
+        at in any::<u64>(),
+        mask in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        // Positions are drawn within the first `len >> scale` bytes, so the
+        // small header fields near the front are hit as often as the slabs.
+        let records = wal_records();
+        let record = &records[pick % records.len()];
+        let span = (record.len() >> scale).max(1);
+        let pos = (at % span as u64) as usize;
+        let mut bytes = record.clone();
+        if truncate {
+            bytes.truncate(pos);
+        } else {
+            bytes[pos] ^= mask;
+        }
+        match WalOp::decode(&bytes) {
+            Ok(_) | Err(CoreError::Storage(_)) => {}
+            Err(other) => prop_assert!(false, "untyped decode error: {other:?}"),
+        }
     }
 }
 
@@ -455,56 +520,96 @@ fn acknowledged_charge_survives_a_crash_without_checkpoint() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Format-evolution pin: a v1 (JSON) snapshot file — what every release
-/// before snapshot format v2 wrote at checkpoint — must keep recovering
-/// bit-identically. v1 payloads carry no sketch spans, so recovery
-/// hydrates every dataset eagerly (`lazy_datasets == 0`).
+/// Format pin: a JSON (v1) snapshot payload — what releases before the
+/// binary snapshot format wrote at checkpoint — is refused at open with a
+/// typed storage error, never misread as an empty or partial corpus.
 #[test]
-fn v1_json_snapshot_still_recovers_bit_identically() {
-    use mileena::core::durable::PlatformSnapshotRef;
-
-    let fx = fixture();
-    let b = PrivacyBudget::new(1.0, 1e-6).unwrap();
-    let spent = b.fraction(0.25).unwrap();
-    let mut uploads: Vec<ProviderUpload> = fx
-        .corpus
-        .providers
-        .iter()
-        .enumerate()
-        .map(|(i, p)| LocalDataStore::new(p.clone()).prepare_upload(None, i as u64 + 1).unwrap())
-        .collect();
-    uploads.sort_by(|a, b| a.sketch.name.cmp(&b.sketch.name));
-    let ledger = vec![("apm_data".to_string(), b, spent)];
-    let payload = PlatformSnapshotRef {
-        datasets: uploads.iter().map(|u| (&u.sketch, &u.profile)).collect(),
-        ledger: &ledger,
-    }
-    .encode()
-    .unwrap();
-    assert_eq!(payload[0], b'{', "v1 payloads are JSON objects");
-
-    let dir = base_dir("v1-pin");
+fn v1_json_snapshot_is_refused_with_a_typed_error() {
+    let dir = base_dir("v1-refused");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    mileena::storage::snapshot::write_snapshot(&dir, uploads.len() as u64, &payload).unwrap();
+    let payload = br#"{"datasets":[],"ledger":[]}"#;
+    mileena::storage::snapshot::write_snapshot(&dir, 1, payload).unwrap();
+
+    match CentralPlatform::open_with(durable_config(&dir)) {
+        Err(CoreError::Storage(message)) => {
+            assert!(message.contains("unsupported snapshot format"), "{message}")
+        }
+        Err(other) => panic!("want a typed storage error, got {other:?}"),
+        Ok(_) => panic!("a v1 JSON snapshot opened"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: an upload holding a non-finite value is refused before it
+/// is journaled, charged or indexed. The full triple is journaled as JSON,
+/// where `inf` becomes `null`, so an acknowledged `inf` used to come back
+/// from recovery as `NaN` — a recovered sketch unequal to the acknowledged
+/// one.
+#[test]
+fn non_finite_upload_is_refused_before_it_is_journaled() {
+    let dir = base_dir("non-finite");
+    let _ = std::fs::remove_dir_all(&dir);
+    let relation = RelationBuilder::new("overflow")
+        .int_col("zone", &[1, 2, 3])
+        .float_col("v", &[1.0, 1e200, 2.0])
+        .build()
+        .unwrap();
+    let mut upload = LocalDataStore::new(relation).prepare_upload(None, 5).unwrap();
+    assert!(upload.sketch.full.q.iter().any(|q| q.is_infinite()), "1e200² overflows q");
+    // A budget on the upload: accepting it would also leave a ledger row.
+    upload.budget = Some(PrivacyBudget::new(1.0, 1e-6).unwrap());
+
+    let platform = CentralPlatform::open_with(durable_config(&dir)).unwrap();
+    for refused in [platform.register(upload.clone()), platform.replace(upload.clone())] {
+        match refused {
+            Err(CoreError::Sketch(message)) => assert!(message.contains("non-finite"), "{message}"),
+            other => panic!("want a typed sketch error, got {other:?}"),
+        }
+    }
+    assert_eq!(platform.num_datasets(), 0);
+    assert_eq!(platform.budget_spent("overflow"), None);
+    drop(platform);
+
+    let reopened = CentralPlatform::open_with(durable_config(&dir)).unwrap();
+    assert_eq!(reopened.recovery_report().unwrap().replayed_records, 0, "nothing journaled");
+    assert_eq!(reopened.num_datasets(), 0);
+    assert_eq!(reopened.budget_spent("overflow"), None);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Upgrade pin: the first open after an upgrade sees a segment whose JSON
+/// records (the layout journaled before binary records) are followed by
+/// the binary records this build journals. The mixed tail recovers
+/// bit-identically.
+#[test]
+fn mixed_json_and_binary_wal_tail_recovers_bit_identically() {
+    let fx = fixture();
+    let dir = base_dir("mixed-tail");
+    let _ = std::fs::remove_dir_all(&dir);
+    let split = fx.ops.len() / 2;
+    let (mut engine, _) = StorageEngine::open(&dir, StorageOptions::default()).unwrap();
+    for op in &fx.ops[..split] {
+        engine.append(serde_json::to_string(&op.wal_op()).unwrap().as_bytes()).unwrap();
+    }
+    drop(engine);
+
+    let platform = CentralPlatform::open_with(durable_config(&dir)).unwrap();
+    assert_eq!(platform.recovery_report().unwrap().replayed_records as usize, split);
+    for op in &fx.ops[split..] {
+        op.apply(&platform);
+    }
+    drop(platform);
+    let segments = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("wal-"))
+        .count();
+    assert_eq!(segments, 1, "both record layouts share one segment");
 
     let recovered = CentralPlatform::open_with(durable_config(&dir)).unwrap();
-    let report = recovered.recovery_report().unwrap();
-    assert_eq!(report.snapshot_seq, Some(uploads.len() as u64));
-    assert_eq!(report.lazy_datasets, 0, "v1 snapshots hydrate eagerly");
-    assert_eq!(recovered.num_datasets(), uploads.len());
-    assert_eq!(recovered.budget_spent("apm_data").unwrap().epsilon, spent.epsilon);
-
-    let reference = CentralPlatform::new(PlatformConfig::default());
-    for upload in &uploads {
-        reference.register(upload.clone()).unwrap();
-    }
-    let got = recovered.search(&request(&fx.corpus), &SearchConfig::default()).unwrap();
-    let want = reference.search(&request(&fx.corpus), &SearchConfig::default()).unwrap();
-    assert_eq!(got.outcome.base_score, want.outcome.base_score);
-    assert_eq!(got.outcome.final_score, want.outcome.final_score);
-    assert_eq!(got.outcome.selected_joins(), want.outcome.selected_joins());
-    assert_eq!(got.outcome.selected_unions(), want.outcome.selected_unions());
+    assert_eq!(recovered.recovery_report().unwrap().replayed_records as usize, fx.ops.len());
+    let reference = fx.reference_prefix(fx.ops.len());
+    assert_state_parity(fx, &recovered, &reference).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
