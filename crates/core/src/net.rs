@@ -1,9 +1,7 @@
 //! A real TCP front-end for the platform: length-prefixed JSON frames over
-//! `std::net`, carrying the exact same versioned envelopes as [`JsonWire`]
-//! (registration, admin, search submission, streamed events, final
-//! replies) — so everything proven about the in-memory wire transport
-//! holds over a socket, including `Overloaded { retry_after_ms }`
-//! round-tripping and typed shard errors.
+//! `std::net`, carrying the same versioned envelopes as [`JsonWire`],
+//! encoded and decoded by the same codec, so everything proven about the
+//! in-memory wire transport holds over a socket.
 //!
 //! **Framing.** Every message is a 4-byte big-endian length prefix
 //! followed by that many bytes of JSON — a [`ClientFrame`] client→server,
@@ -12,41 +10,40 @@
 //! connection is closed (the peer is either broken or hostile; resyncing a
 //! corrupt length prefix is not worth guessing at).
 //!
-//! **Server shape.** One accept loop (non-blocking + shutdown flag), one
-//! thread per connection, one forwarder thread per in-flight search
-//! session multiplexing its event/result envelopes back over the shared
-//! (mutexed) write half. A client disconnect cancels that connection's
-//! in-flight sessions — nobody is left computing for a requester who hung
-//! up. [`TcpServer::shutdown`] stops accepting, drains in-flight sessions
-//! (their final results still flush to connected clients), joins every
-//! thread, and returns.
+//! **Server shape.** The accept thread blocks in `accept`, each
+//! connection's thread blocks in `read`, and each in-flight search has one
+//! forwarder thread writing its event/result frames; nothing waits on a
+//! timer. A client disconnect cancels the connection's in-flight sessions.
+//! [`TcpServer::shutdown`] wakes the accept thread with a self-connect and
+//! the connections by shutting down their read halves, drains in-flight
+//! sessions (their results still reach the clients), and joins every
+//! thread.
 //!
-//! **Client shape.** [`TcpWire`] implements [`PlatformService`] over
-//! pooled request/response connections, plus one dedicated connection per
-//! search session (a cancel watcher bridges [`SearchControl::cancel`] to a
-//! [`ClientFrame::Cancel`] frame, so session handles behave identically to
-//! the in-process ones).
+//! **Client shape.** [`TcpWire`] checks an idle connection out of a small
+//! pool for every call, a whole search included, and dials only when none
+//! is idle. A search reads its frames on the thread that waits on it and
+//! hands the connection back after the result; cancelling its control
+//! writes a [`ClientFrame::Cancel`]. Dropping an un-awaited session closes
+//! its connection, which the server treats as a cancel.
 //!
 //! [`JsonWire`]: crate::service::JsonWire
 
 use crate::error::{CoreError, Result};
-use crate::local::ProviderUpload;
-use crate::service::{wire_admin, wire_register, wire_submit, PlatformService, SearchSession};
-use crate::wire::{
-    AdminOp, AdminReply, CheckpointReceipt, ErrorCode, PlatformStats, WireAdminRequest,
-    WireAdminResponse, WireError, WireEvent, WireRegisterRequest, WireRegisterResponse,
-    WireSearchRequest, WireSearchResponse, WIRE_VERSION,
+use crate::service::{
+    encode_envelope, unexpected, wire_admin, wire_register, wire_submit, FrameSource, Opened,
+    PlatformService, SearchSession, WireLink, WireSession,
 };
-use mileena_obs::{Metrics, MetricsReport, SlowSearchLog};
-use mileena_search::{SearchConfig, SearchControl, SketchedRequest};
+use crate::wire::{ErrorCode, SearchReply, WireError};
+use mileena_obs::{Metrics, SlowSearchLog};
+use mileena_search::SearchControl;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Client→server frames. The JSON payloads inside `Register`/`Admin`/
 /// `Submit` are the versioned wire envelopes of [`crate::wire`], unchanged
@@ -122,27 +119,23 @@ pub struct TcpServerConfig {
     /// Maximum accepted frame payload, bytes. Larger frames get a typed
     /// error and the connection is closed.
     pub max_frame: usize,
-    /// Poll interval for the accept loop and connection read loops (they
-    /// watch the shutdown flag between reads).
-    pub poll_interval: Duration,
     /// Slow-search log: every search whose reply's `spans.total_ns`
     /// crossed the log's threshold gets one JSONL record (session id,
     /// wire `request_id`, full span breakdown). `None` disables the check.
     pub slow_log: Option<Arc<SlowSearchLog>>,
 }
 
+/// The default `max_frame`, and the largest frame a [`TcpWire`] reads.
+const MAX_FRAME: usize = 32 << 20;
+
 impl Default for TcpServerConfig {
     fn default() -> Self {
-        TcpServerConfig {
-            max_frame: 32 << 20,
-            poll_interval: Duration::from_millis(20),
-            slow_log: None,
-        }
+        TcpServerConfig { max_frame: MAX_FRAME, slow_log: None }
     }
 }
 
 fn encode_frame<T: Serialize>(frame: &T) -> Vec<u8> {
-    let payload = serde_json::to_string(frame).unwrap_or_default().into_bytes();
+    let payload = encode_envelope(frame).into_bytes();
     let mut buf = Vec::with_capacity(4 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     buf.extend_from_slice(&payload);
@@ -155,25 +148,19 @@ fn decode_payload<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> std::result::
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
-fn write_frame<T: Serialize>(stream: &mut TcpStream, frame: &T) -> std::io::Result<()> {
-    stream.write_all(&encode_frame(frame))?;
-    stream.flush()
-}
-
-fn write_frame_locked<T: Serialize>(writer: &Mutex<TcpStream>, frame: &T) -> std::io::Result<()> {
-    let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
-    write_frame(&mut stream, frame)
+fn write_frame<T: Serialize>(mut stream: impl Write, frame: &T) -> std::io::Result<()> {
+    stream.write_all(&encode_frame(frame))
 }
 
 /// Blocking frame read (client side): length prefix, then payload.
-fn read_frame<T: for<'de> Deserialize<'de>>(stream: &mut TcpStream, max_frame: usize) -> Result<T> {
+fn read_frame<T: for<'de> Deserialize<'de>>(mut stream: impl Read) -> Result<T> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(|e| CoreError::Service(format!("tcp read: {e}")))?;
     let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max_frame {
+    if len > MAX_FRAME {
         return Err(CoreError::Wire {
             code: ErrorCode::Malformed,
-            message: format!("peer announced a {len}-byte frame (max {max_frame})"),
+            message: format!("peer announced a {len}-byte frame (max {MAX_FRAME})"),
         });
     }
     let mut payload = vec![0u8; len];
@@ -232,33 +219,47 @@ impl TcpServer {
         config: TcpServerConfig,
     ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let accept = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let service = Arc::clone(&service);
-                        let flag = Arc::clone(&flag);
-                        let config = config.clone();
-                        conns.push(std::thread::spawn(move || {
-                            serve_connection(stream, service, flag, config);
-                        }));
-                        // Opportunistically reap finished connections so a
-                        // long-lived server doesn't accumulate handles.
-                        conns.retain(|h| !h.is_finished());
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(config.poll_interval);
-                    }
-                    Err(_) => break,
+            // Each live connection's thread, and a handle to wake it with.
+            // The handle is weak: a finished connection's socket closes.
+            let mut conns: Vec<(JoinHandle<()>, Weak<Conn>)> = Vec::new();
+            for stream in listener.incoming() {
+                // The flag is set before the waking self-connect is made.
+                if flag.load(Ordering::SeqCst) {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                let _ = stream.set_nodelay(true);
+                let conn = Arc::new(Conn {
+                    stream,
+                    writing: Mutex::new(()),
+                    sessions: Mutex::default(),
+                    metrics: service.metrics_handle(),
+                    slow_log: config.slow_log.clone(),
+                });
+                let wake = Arc::downgrade(&conn);
+                let (service, flag, max_frame) =
+                    (Arc::clone(&service), Arc::clone(&flag), config.max_frame);
+                // Dropping a finished thread's handle frees it.
+                conns.retain(|(thread, _)| !thread.is_finished());
+                conns.push((
+                    std::thread::spawn(move || {
+                        serve_connection(&conn, &*service, &flag, max_frame)
+                    }),
+                    wake,
+                ));
             }
-            for conn in conns {
-                let _ = conn.join();
+            // A read half shut down reads as end of stream: each connection
+            // thread wakes, drains its in-flight sessions over the write
+            // half, which stays open, and exits.
+            for conn in conns.iter().filter_map(|(_, conn)| conn.upgrade()) {
+                let _ = conn.stream.shutdown(Shutdown::Read);
+            }
+            for (thread, _) in conns {
+                let _ = thread.join();
             }
         });
         Ok(TcpServer { addr, shutdown, accept: Some(accept) })
@@ -269,156 +270,218 @@ impl TcpServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, let connection threads drain
-    /// their in-flight sessions (final results still reach connected
-    /// clients), join everything.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    /// Graceful shutdown, as dropping the server does: stop accepting, let
+    /// connection threads drain their in-flight sessions (final results
+    /// still reach connected clients), join everything. Returns while
+    /// clients still hold connections open.
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    fn shutdown_inner(&mut self) {
+impl Drop for TcpServer {
+    fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept thread; a wildcard bind is reached on loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let loopback = if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            };
+            wake.set_ip(loopback);
+        }
+        let _ = TcpStream::connect(wake);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
     }
 }
 
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+/// One connection, shared by its reader thread and its session forwarders.
+/// The socket closes when the last of them lets go.
+struct Conn {
+    stream: TcpStream,
+    /// Held while a frame is written, so frames never interleave.
+    writing: Mutex<()>,
+    /// Session id → run control, for Cancel frames and disconnect cleanup.
+    sessions: Mutex<HashMap<u64, SearchControl>>,
+    /// The platform's registry, when the deployment exposes one;
+    /// client-only services don't.
+    metrics: Option<Arc<Metrics>>,
+    slow_log: Option<Arc<SlowSearchLog>>,
+}
+
+impl Conn {
+    /// Write one frame; `false` once the socket is dead.
+    fn send(&self, frame: &ServerFrame) -> bool {
+        if let Some(m) = &self.metrics {
+            m.net_frames_out.inc();
+        }
+        let _writing = self.writing.lock().unwrap_or_else(|e| e.into_inner());
+        write_frame(&self.stream, frame).is_ok()
+    }
+
+    /// Answer a frame that could not be served with a typed `Malformed`.
+    fn send_malformed(&self, message: String) -> bool {
+        let json = encode_envelope(&WireError::new(ErrorCode::Malformed, message));
+        self.send(&ServerFrame::Error { json })
+    }
+
+    fn sessions(&self) -> MutexGuard<'_, HashMap<u64, SearchControl>> {
+        self.sessions.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// One connection: incremental frame parsing on the read half, a mutexed
-/// write half shared with per-session forwarder threads.
+/// Read and dispatch a connection's frames until it ends, incrementally
+/// parsing across partial reads.
 fn serve_connection(
-    stream: TcpStream,
-    service: Arc<dyn PlatformService + Send + Sync>,
-    shutdown: Arc<AtomicBool>,
-    config: TcpServerConfig,
+    conn: &Arc<Conn>,
+    service: &(dyn PlatformService + Send + Sync),
+    shutdown: &AtomicBool,
+    max_frame: usize,
 ) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    // The connection span and net counters record into the platform's own
-    // registry when the deployment exposes one; client-only services don't.
-    let metrics = service.metrics_handle();
     let conn_start = Instant::now();
-    if let Some(m) = &metrics {
+    if let Some(m) = &conn.metrics {
         m.net_connections.inc();
         m.connections_open.add(1);
     }
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = stream;
-    let _ = reader.set_read_timeout(Some(config.poll_interval));
-    // Session id → run control, for Cancel frames and disconnect cleanup.
-    let sessions: Arc<Mutex<HashMap<u64, SearchControl>>> = Arc::new(Mutex::new(HashMap::new()));
     let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
-    let mut disconnected = false;
 
-    'conn: while !shutdown.load(Ordering::SeqCst) {
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                disconnected = true;
-                break 'conn;
-            }
+    // Whether the sessions still in flight are cancelled on the way out.
+    let cancel = 'conn: loop {
+        match (&conn.stream).read(&mut chunk) {
+            // End of stream: the requester hung up, or shutdown woke us.
+            Ok(0) => break !shutdown.load(Ordering::SeqCst),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(_) => {
-                disconnected = true;
-                break 'conn;
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break true,
         }
         loop {
-            match parse_frame(&mut buf, config.max_frame) {
+            match parse_frame(&mut buf, max_frame) {
                 Parsed::Incomplete => break,
                 Parsed::Oversized(len) => {
-                    let err = WireError::new(
-                        ErrorCode::Malformed,
-                        format!("frame of {len} bytes exceeds the {}-byte limit", config.max_frame),
-                    );
-                    let json = serde_json::to_string(&err).unwrap_or_default();
-                    let _ = write_frame_locked(&writer, &ServerFrame::Error { json });
-                    break 'conn;
+                    conn.send_malformed(format!(
+                        "frame of {len} bytes exceeds the {max_frame}-byte limit"
+                    ));
+                    break 'conn false;
                 }
                 Parsed::Garbage(detail) => {
-                    let err = WireError::new(
-                        ErrorCode::Malformed,
-                        format!("undecodable frame: {detail}"),
-                    );
-                    let json = serde_json::to_string(&err).unwrap_or_default();
-                    if write_frame_locked(&writer, &ServerFrame::Error { json }).is_err() {
-                        disconnected = true;
-                        break 'conn;
+                    if !conn.send_malformed(format!("undecodable frame: {detail}")) {
+                        break 'conn true;
                     }
                 }
                 Parsed::Frame(frame) => {
-                    if let Some(m) = &metrics {
+                    if let Some(m) = &conn.metrics {
                         m.net_frames_in.inc();
                     }
-                    if !handle_frame(
-                        frame,
-                        &service,
-                        &writer,
-                        &sessions,
-                        &mut forwarders,
-                        &metrics,
-                        &config.slow_log,
-                    ) {
-                        disconnected = true;
-                        break 'conn;
+                    if !handle_frame(conn, frame, service, &mut forwarders) {
+                        break 'conn true;
                     }
                 }
             }
         }
-    }
+        // One connection serves many searches: free finished forwarders.
+        forwarders.retain(|f| !f.is_finished());
+    };
 
-    if disconnected {
-        // The requester hung up: cancel whatever is still computing for
-        // them so no worker slot is left burning for a dead socket.
-        for control in sessions.lock().unwrap_or_else(|e| e.into_inner()).values() {
+    if cancel {
+        // Nobody is left computing for a requester who hung up.
+        for control in conn.sessions().values() {
             control.cancel();
         }
     }
-    // Graceful path: in-flight sessions finish and flush their results
-    // (cancelled ones finish immediately at the next round boundary).
+    // In-flight sessions finish and flush their results (cancelled ones
+    // finish at the next round boundary).
     for forwarder in forwarders {
         let _ = forwarder.join();
     }
-    if let Some(m) = &metrics {
+    if let Some(m) = &conn.metrics {
         m.connections_open.add(-1);
         m.connection_serve.record_duration(conn_start.elapsed());
     }
 }
 
-/// Count one server→client frame, when a registry is attached.
-fn frame_out(metrics: &Option<Arc<Metrics>>) {
-    if let Some(m) = metrics {
-        m.net_frames_out.inc();
+/// Dispatch one decoded client frame. Returns `false` when the write half
+/// is dead and the connection should be torn down.
+fn handle_frame(
+    conn: &Arc<Conn>,
+    frame: ClientFrame,
+    service: &(dyn PlatformService + Send + Sync),
+    forwarders: &mut Vec<JoinHandle<()>>,
+) -> bool {
+    let count = |counter: fn(&Metrics) -> &mileena_obs::Counter| {
+        if let Some(m) = &conn.metrics {
+            counter(m).inc();
+        }
+    };
+    match frame {
+        ClientFrame::Register { json } => {
+            count(|m| &m.requests_register);
+            conn.send(&ServerFrame::Reply { json: wire_register(service, &json) })
+        }
+        ClientFrame::Admin { json } => {
+            count(|m| &m.requests_admin);
+            conn.send(&ServerFrame::Reply { json: wire_admin(service, &json) })
+        }
+        ClientFrame::Cancel { session } => {
+            count(|m| &m.requests_cancel);
+            if let Some(control) = conn.sessions().get(&session) {
+                control.cancel();
+            }
+            true
+        }
+        ClientFrame::Submit { json } => {
+            count(|m| &m.requests_submit);
+            let session = match wire_submit(service, &json) {
+                Ok(session) => session,
+                Err(json) => return conn.send(&ServerFrame::Result { session: 0, json }),
+            };
+            conn.sessions().insert(session.id, session.control.clone());
+            if !conn.send(&ServerFrame::Accepted { session: session.id }) {
+                session.control.cancel();
+                return false;
+            }
+            let conn = Arc::clone(conn);
+            forwarders.push(std::thread::spawn(move || forward(&conn, &session)));
+            true
+        }
     }
 }
 
-/// Append a slow-search JSONL record when a final search response crossed
+/// Pull one session's events, then its final response, onto the
+/// connection.
+fn forward(conn: &Conn, session: &WireSession) {
+    let id = session.id;
+    while let Some(json) = session.next_event() {
+        // A dead socket stops the events; the response is still awaited
+        // below, so the session runs to its end.
+        if !conn.send(&ServerFrame::Event { session: id, json }) {
+            break;
+        }
+    }
+    let response = session.finish();
+    if let Some(reply) = &response.ok {
+        maybe_log_slow(conn, id, reply);
+    }
+    conn.send(&ServerFrame::Result { session: id, json: encode_envelope(&response) });
+    conn.sessions().remove(&id);
+}
+
+/// Append a slow-search JSONL record when a final search reply crossed
 /// the log's threshold. The record carries the session id, the wire
 /// `request_id` (JSON `null` when the caller sent none), and the full
 /// per-stage span breakdown, so one grep correlates client, server log,
 /// and metrics.
-fn maybe_log_slow(
-    slow_log: &Option<Arc<SlowSearchLog>>,
-    metrics: &Option<Arc<Metrics>>,
-    session: u64,
-    response_json: &str,
-) {
-    let Some(log) = slow_log else { return };
-    let Ok(response) = serde_json::from_str::<WireSearchResponse>(response_json) else { return };
-    let Some(reply) = response.ok else { return };
+fn maybe_log_slow(conn: &Conn, session: u64, reply: &SearchReply) {
+    let Some(log) = &conn.slow_log else { return };
     if reply.spans.total_ns < log.threshold_ns() {
         return;
     }
-    if let Some(m) = metrics {
+    if let Some(m) = &conn.metrics {
         m.slow_searches.inc();
     }
     let s = &reply.spans;
@@ -447,112 +510,34 @@ fn maybe_log_slow(
     ));
 }
 
-/// Dispatch one decoded client frame. Returns `false` when the write half
-/// is dead and the connection should be torn down.
-fn handle_frame(
-    frame: ClientFrame,
-    service: &Arc<dyn PlatformService + Send + Sync>,
-    writer: &Arc<Mutex<TcpStream>>,
-    sessions: &Arc<Mutex<HashMap<u64, SearchControl>>>,
-    forwarders: &mut Vec<JoinHandle<()>>,
-    metrics: &Option<Arc<Metrics>>,
-    slow_log: &Option<Arc<SlowSearchLog>>,
-) -> bool {
-    match frame {
-        ClientFrame::Register { json } => {
-            if let Some(m) = metrics {
-                m.requests_register.inc();
-            }
-            let reply = wire_register(&**service, &json);
-            frame_out(metrics);
-            write_frame_locked(writer, &ServerFrame::Reply { json: reply }).is_ok()
-        }
-        ClientFrame::Admin { json } => {
-            if let Some(m) = metrics {
-                m.requests_admin.inc();
-            }
-            let reply = wire_admin(&**service, &json);
-            frame_out(metrics);
-            write_frame_locked(writer, &ServerFrame::Reply { json: reply }).is_ok()
-        }
-        ClientFrame::Cancel { session } => {
-            if let Some(m) = metrics {
-                m.requests_cancel.inc();
-            }
-            if let Some(control) = sessions.lock().unwrap_or_else(|e| e.into_inner()).get(&session)
-            {
-                control.cancel();
-            }
-            true
-        }
-        ClientFrame::Submit { json } => {
-            if let Some(m) = metrics {
-                m.requests_submit.inc();
-            }
-            match wire_submit(&**service, &json) {
-                Err(error_json) => {
-                    frame_out(metrics);
-                    write_frame_locked(
-                        writer,
-                        &ServerFrame::Result { session: 0, json: error_json },
-                    )
-                    .is_ok()
-                }
-                Ok(wire_session) => {
-                    let id = wire_session.id;
-                    sessions
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(id, wire_session.control.clone());
-                    frame_out(metrics);
-                    if write_frame_locked(writer, &ServerFrame::Accepted { session: id }).is_err() {
-                        wire_session.control.cancel();
-                        return false;
-                    }
-                    let writer = Arc::clone(writer);
-                    let sessions = Arc::clone(sessions);
-                    let metrics = metrics.clone();
-                    let slow_log = slow_log.clone();
-                    forwarders.push(std::thread::spawn(move || {
-                        for json in wire_session.events.iter() {
-                            frame_out(&metrics);
-                            if write_frame_locked(
-                                &writer,
-                                &ServerFrame::Event { session: id, json },
-                            )
-                            .is_err()
-                            {
-                                // Dead socket: stop forwarding, but still wait
-                                // for the result below so the worker's
-                                // sync_send never blocks forever.
-                                break;
-                            }
-                        }
-                        if let Ok(json) = wire_session.result.recv() {
-                            maybe_log_slow(&slow_log, &metrics, id, &json);
-                            frame_out(&metrics);
-                            let _ = write_frame_locked(
-                                &writer,
-                                &ServerFrame::Result { session: id, json },
-                            );
-                        }
-                        sessions.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
-                    }));
-                    true
-                }
-            }
-        }
-    }
-}
-
-/// [`PlatformService`] over TCP: the client half of the protocol.
-/// Request/response calls use a small connection pool; each search session
-/// gets a dedicated connection carrying its event/result stream.
+/// [`PlatformService`] over TCP: the client half of the protocol, over a
+/// small pool of connections that every call and every search checks out
+/// and hands back. Dropping the client closes every idle connection; a
+/// search in flight closes its own when it ends.
 #[derive(Debug)]
 pub struct TcpWire {
     addr: SocketAddr,
-    max_frame: usize,
-    pool: Mutex<Vec<TcpStream>>,
+    /// Idle connections. A search holds only a weak handle to give its
+    /// connection back, so the pool dies with the client.
+    pool: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+/// Idle connections a [`TcpWire`] keeps; more are closed when handed back.
+const MAX_IDLE: usize = 8;
+
+fn dial(addr: SocketAddr) -> Result<TcpStream> {
+    let stream =
+        TcpStream::connect(addr).map_err(|e| CoreError::Service(format!("connect: {e}")))?;
+    // A search is several small frames back to back on one connection.
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+fn check_in(pool: &Mutex<Vec<TcpStream>>, stream: TcpStream) {
+    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
+    if pool.len() < MAX_IDLE {
+        pool.push(stream);
+    }
 }
 
 impl TcpWire {
@@ -565,252 +550,100 @@ impl TcpWire {
             .ok_or_else(|| CoreError::Service("address resolved to nothing".into()))?;
         // Fail fast if nobody is listening; the probe connection seeds the
         // pool.
-        let probe =
-            TcpStream::connect(addr).map_err(|e| CoreError::Service(format!("connect: {e}")))?;
-        Ok(TcpWire {
-            addr,
-            max_frame: TcpServerConfig::default().max_frame,
-            pool: Mutex::new(vec![probe]),
-        })
+        let probe = dial(addr)?;
+        Ok(TcpWire { addr, pool: Arc::new(Mutex::new(vec![probe])) })
     }
 
-    /// A connection for one round trip, and whether it came out of the
-    /// pool (a pooled stream may have died with a server restart — its
-    /// first use after that fails, and [`TcpWire::call`] retries fresh).
-    fn checkout(&self) -> Result<(TcpStream, bool)> {
-        if let Some(stream) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            return Ok((stream, true));
-        }
-        let stream = TcpStream::connect(self.addr)
-            .map_err(|e| CoreError::Service(format!("connect: {e}")))?;
-        Ok((stream, false))
-    }
-
-    fn checkin(&self, stream: TcpStream) {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < 8 {
-            pool.push(stream);
-        }
-    }
-
-    /// One pooled request/response round trip: send a frame, read the
-    /// `Reply` (surfacing a framing `Error` as the typed wire error).
-    /// A transport failure on a *pooled* stream — the server restarted
-    /// while the connection sat idle — drops the dead stream and retries
-    /// exactly once on a fresh dial; fresh-connection failures surface
-    /// immediately.
-    fn call(&self, frame: &ClientFrame) -> Result<String> {
-        let (stream, pooled) = self.checkout()?;
-        match self.round_trip(stream, frame) {
-            Err(CoreError::Service(_)) if pooled => {
-                let stream = TcpStream::connect(self.addr)
-                    .map_err(|e| CoreError::Service(format!("connect: {e}")))?;
-                self.round_trip(stream, frame)
+    /// Send `frame` and read the first frame of the answer, on an idle
+    /// connection when there is one. A transport failure on an idle
+    /// connection (the server restarted while it sat in the pool) drops it
+    /// and retries exactly once on a fresh dial; failures on a fresh
+    /// connection surface immediately.
+    fn exchange(&self, frame: &ClientFrame) -> Result<(TcpStream, ServerFrame)> {
+        let idle = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        if let Some(stream) = idle {
+            match Self::round_trip(stream, frame) {
+                Err(CoreError::Service(_)) => {}
+                other => return other,
             }
-            other => other,
         }
+        Self::round_trip(dial(self.addr)?, frame)
     }
 
-    fn round_trip(&self, mut stream: TcpStream, frame: &ClientFrame) -> Result<String> {
+    fn round_trip(mut stream: TcpStream, frame: &ClientFrame) -> Result<(TcpStream, ServerFrame)> {
         write_frame(&mut stream, frame)
             .map_err(|e| CoreError::Service(format!("tcp write: {e}")))?;
-        match read_frame::<ServerFrame>(&mut stream, self.max_frame)? {
-            ServerFrame::Reply { json } => {
-                self.checkin(stream);
+        let first = read_frame(&mut stream)?;
+        Ok((stream, first))
+    }
+
+    /// The client end of accepted session `id`, on `stream`.
+    fn session(&self, stream: TcpStream, id: u64) -> SearchSession {
+        let stream = Arc::new(stream);
+        let control = SearchControl::new();
+        // The cancelling thread writes the Cancel frame itself. Once the
+        // result is in, the session hands the connection back and this
+        // line goes dead.
+        let line = Arc::downgrade(&stream);
+        control.on_cancel(move || {
+            if let Some(stream) = line.upgrade() {
+                let _ = write_frame(&*stream, &ClientFrame::Cancel { session: id });
+            }
+        });
+        let source = TcpSession { stream: Some(stream), pool: Arc::downgrade(&self.pool) };
+        SearchSession::over_wire(id, control, source)
+    }
+}
+
+impl WireLink for TcpWire {
+    fn call(&self, frame: ClientFrame) -> Result<String> {
+        match self.exchange(&frame)? {
+            (stream, ServerFrame::Reply { json }) => {
+                check_in(&self.pool, stream);
                 Ok(json)
             }
-            ServerFrame::Error { json } => Err(decode_frame_error(&json)),
-            other => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("unexpected frame in reply position: {other:?}"),
-            }),
+            (_, other) => Err(unexpected(other, "reply")),
         }
     }
 
-    fn admin(&self, op: AdminOp) -> Result<AdminReply> {
-        let json = serde_json::to_string(&WireAdminRequest { v: WIRE_VERSION, op })
-            .map_err(|e| CoreError::Wire { code: ErrorCode::Malformed, message: e.to_string() })?;
-        let response = self.call(&ClientFrame::Admin { json })?;
-        serde_json::from_str::<WireAdminResponse>(&response)
-            .map_err(|e| CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("decode admin response: {e}"),
-            })?
-            .into_result()
+    fn open(&self, request_json: String) -> Result<Opened> {
+        match self.exchange(&ClientFrame::Submit { json: request_json })? {
+            (stream, ServerFrame::Accepted { session }) => {
+                Ok(Opened::Session(self.session(stream, session)))
+            }
+            (stream, ServerFrame::Result { json, .. }) => {
+                check_in(&self.pool, stream);
+                Ok(Opened::Rejected(json))
+            }
+            (_, other) => Err(unexpected(other, "submit")),
+        }
     }
 }
 
-/// Decode a [`ServerFrame::Error`] payload into the typed core error.
-fn decode_frame_error(json: &str) -> CoreError {
-    match serde_json::from_str::<WireError>(json) {
-        Ok(err) => err.into_core(),
-        Err(e) => CoreError::Wire {
-            code: ErrorCode::Malformed,
-            message: format!("undecodable error frame: {e}"),
-        },
-    }
+/// One search's connection, read on the thread that waits on the session.
+#[derive(Debug)]
+struct TcpSession {
+    /// `None` once the result is in and the connection was handed back.
+    stream: Option<Arc<TcpStream>>,
+    pool: Weak<Mutex<Vec<TcpStream>>>,
 }
 
-impl PlatformService for TcpWire {
-    fn register(&self, upload: ProviderUpload) -> Result<()> {
-        let json = serde_json::to_string(&WireRegisterRequest { v: WIRE_VERSION, upload })
-            .map_err(|e| CoreError::Wire { code: ErrorCode::Malformed, message: e.to_string() })?;
-        let response = self.call(&ClientFrame::Register { json })?;
-        serde_json::from_str::<WireRegisterResponse>(&response)
-            .map_err(|e| CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("decode register response: {e}"),
-            })?
-            .into_result()
-            .map(|_| ())
-    }
-
-    fn submit(
-        &self,
-        request: SketchedRequest,
-        config: Option<SearchConfig>,
-    ) -> Result<SearchSession> {
-        self.submit_tagged(request, config, None)
-    }
-
-    fn submit_tagged(
-        &self,
-        request: SketchedRequest,
-        config: Option<SearchConfig>,
-        request_id: Option<u64>,
-    ) -> Result<SearchSession> {
-        let json = serde_json::to_string(&WireSearchRequest {
-            v: WIRE_VERSION,
-            request,
-            config,
-            request_id,
-        })
-        .map_err(|e| CoreError::Wire { code: ErrorCode::Malformed, message: e.to_string() })?;
-        // Dedicated connection: the event/result stream owns the socket.
-        let mut stream = TcpStream::connect(self.addr)
-            .map_err(|e| CoreError::Service(format!("connect: {e}")))?;
-        write_frame(&mut stream, &ClientFrame::Submit { json })
-            .map_err(|e| CoreError::Service(format!("tcp write: {e}")))?;
-        let id = match read_frame::<ServerFrame>(&mut stream, self.max_frame)? {
-            ServerFrame::Accepted { session } => session,
-            ServerFrame::Result { json, .. } => {
-                // Rejected at submit: decode the typed error envelope
-                // (Overloaded retry hints and shard ids survive intact).
-                let decoded: WireSearchResponse =
-                    serde_json::from_str(&json).map_err(|e| CoreError::Wire {
-                        code: ErrorCode::Malformed,
-                        message: format!("decode submit rejection: {e}"),
-                    })?;
-                return Err(decoded.into_result().err().unwrap_or_else(|| {
-                    CoreError::Service("submit rejected without an error".into())
-                }));
+impl FrameSource for TcpSession {
+    fn next_frame(&mut self) -> Result<ServerFrame> {
+        let stream = self
+            .stream
+            .as_deref()
+            .ok_or_else(|| CoreError::Service("search session already finished".into()))?;
+        let frame = read_frame(stream)?;
+        if let ServerFrame::Result { .. } = frame {
+            // Nothing more arrives on the connection for this session: hand
+            // it back, unless the client is gone or a cancel is being
+            // written on it this instant.
+            let stream = self.stream.take().map(Arc::try_unwrap);
+            if let (Some(pool), Some(Ok(stream))) = (self.pool.upgrade(), stream) {
+                check_in(&pool, stream);
             }
-            ServerFrame::Error { json } => return Err(decode_frame_error(&json)),
-            other => {
-                return Err(CoreError::Wire {
-                    code: ErrorCode::Malformed,
-                    message: format!("unexpected frame after submit: {other:?}"),
-                })
-            }
-        };
-
-        let control = SearchControl::new();
-        let done = Arc::new(AtomicBool::new(false));
-        // Cancel watcher: bridge local control.cancel() to a Cancel frame
-        // on a cloned write half, so cancellation crosses the wire without
-        // disturbing the reader.
-        if let Ok(mut cancel_half) = stream.try_clone() {
-            let watch_control = control.clone();
-            let watch_done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while !watch_done.load(Ordering::SeqCst) {
-                    if watch_control.is_cancelled() {
-                        let _ = write_frame(&mut cancel_half, &ClientFrame::Cancel { session: id });
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            });
         }
-
-        let (event_tx, event_rx) = mpsc::channel();
-        let (result_tx, result_rx) = mpsc::sync_channel(1);
-        let max_frame = self.max_frame;
-        std::thread::spawn(move || {
-            let result = loop {
-                match read_frame::<ServerFrame>(&mut stream, max_frame) {
-                    Ok(ServerFrame::Event { json, .. }) => {
-                        match serde_json::from_str::<WireEvent>(&json) {
-                            Ok(we) if we.v == WIRE_VERSION => {
-                                let _ = event_tx.send(we.event);
-                            }
-                            _ => {
-                                break Err(CoreError::Wire {
-                                    code: ErrorCode::Malformed,
-                                    message: "bad event envelope".into(),
-                                })
-                            }
-                        }
-                    }
-                    Ok(ServerFrame::Result { json, .. }) => {
-                        break serde_json::from_str::<WireSearchResponse>(&json)
-                            .map_err(|e| CoreError::Wire {
-                                code: ErrorCode::Malformed,
-                                message: format!("decode search response: {e}"),
-                            })
-                            .and_then(WireSearchResponse::into_result);
-                    }
-                    Ok(ServerFrame::Error { json }) => break Err(decode_frame_error(&json)),
-                    Ok(other) => {
-                        break Err(CoreError::Wire {
-                            code: ErrorCode::Malformed,
-                            message: format!("unexpected mid-session frame: {other:?}"),
-                        })
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
-            done.store(true, Ordering::SeqCst);
-            drop(event_tx);
-            let _ = result_tx.send(result);
-        });
-        Ok(SearchSession::new(id, control, event_rx, result_rx))
-    }
-
-    fn num_datasets(&self) -> usize {
-        match self.stats() {
-            Ok(stats) => stats.datasets,
-            Err(_) => 0,
-        }
-    }
-
-    fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        match self.admin(AdminOp::Checkpoint)? {
-            AdminReply::Checkpoint(receipt) => Ok(receipt),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a checkpoint request".into(),
-            }),
-        }
-    }
-
-    fn stats(&self) -> Result<PlatformStats> {
-        match self.admin(AdminOp::Stats)? {
-            AdminReply::Stats(stats) => Ok(stats),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a stats request".into(),
-            }),
-        }
-    }
-
-    fn metrics(&self) -> Result<MetricsReport> {
-        match self.admin(AdminOp::Metrics)? {
-            AdminReply::Metrics(report) => Ok(report),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a metrics request".into(),
-            }),
-        }
+        Ok(frame)
     }
 }

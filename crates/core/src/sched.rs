@@ -450,14 +450,16 @@ fn worker_loop(inner: Arc<Inner>, slot: usize) {
 /// becomes visible — a caller that `wait()`s and immediately resubmits
 /// must find its slot free.
 fn finish_job(inner: &Inner, job: SessionJob, mode: ExecMode, inject: Option<FaultKind>) {
-    let SessionJob { guard, result_tx, exec, .. } = job;
+    let SessionJob { guard, result_tx, exec, control, .. } = job;
     let outcome = catch_unwind(AssertUnwindSafe(move || {
         match inject {
             Some(FaultKind::Panic) => panic!("injected worker panic (chaos)"),
             Some(FaultKind::Error) => {
                 return Err(CoreError::Service("injected worker fault (chaos)".into()));
             }
-            Some(FaultKind::Latency(delay)) => std::thread::sleep(delay),
+            // A stalled worker still hears a cancel: the session stops
+            // waiting and answers at its first round boundary.
+            Some(FaultKind::Latency(delay)) => control.pause(delay),
             None => {}
         }
         exec(mode)

@@ -1,31 +1,35 @@
-//! The platform service boundary: one trait, two transports.
+//! The platform service boundary: one trait, and the codec its wire
+//! clients share.
 //!
 //! [`PlatformService`] is the versioned API every deployment shape serves:
 //! register provider uploads, submit sketched searches, stream progress.
-//! Two transports implement it against the same [`CentralPlatform`]:
+//! [`InProcess`] calls the platform directly and is the reference the wire
+//! path must match bit for bit. [`JsonWire`] and [`crate::TcpWire`] send
+//! every request, event and response through the versioned JSON protocol
+//! of [`crate::wire`]; no raw relation can cross, as the request body type
+//! is [`SketchedRequest`].
 //!
-//! - [`InProcess`] — direct calls, for co-located/embedded deployments and
-//!   as the reference the wire path must match bit for bit;
-//! - [`JsonWire`] — every request, event, and response round-trips through
-//!   the versioned JSON protocol of [`crate::wire`], exactly as an HTTP or
-//!   socket frontend would ship it. No raw relation can cross: the request
-//!   body type is [`SketchedRequest`].
-//!
-//! `submit` returns a [`SearchSession`]: a handle streaming per-round
-//! [`SearchEvent`]s, supporting cooperative cancellation, and yielding the
-//! final [`SearchReply`]. Sessions run on worker threads, so N requesters
-//! search concurrently against consistent corpus snapshots.
+//! The wire clients share one codec. Its server half is [`wire_register`],
+//! [`wire_admin`] and [`wire_submit`], whose [`WireSession`] encodes a
+//! running search one envelope at a time. Its client half is the one
+//! [`PlatformService`] impl every wire link gets. A link only moves
+//! envelopes (`JsonWire` by direct call, `TcpWire` over a socket), and
+//! neither spawns a thread: a wire session decodes on the thread that
+//! waits on it.
 
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
+use crate::net::{ClientFrame, ServerFrame};
 use crate::platform::{CentralPlatform, Layout, Platform};
 use crate::wire::{
     AdminOp, AdminReply, CheckpointReceipt, ErrorCode, PlatformStats, RegisterReceipt, SearchReply,
-    WireAdminRequest, WireAdminResponse, WireEvent, WireRegisterRequest, WireRegisterResponse,
-    WireSearchRequest, WireSearchResponse, WIRE_VERSION,
+    WireAdminRequest, WireAdminResponse, WireError, WireEvent, WireRegisterRequest,
+    WireRegisterResponse, WireSearchRequest, WireSearchResponse, WIRE_VERSION,
 };
 use mileena_obs::{Metrics, MetricsReport};
 use mileena_search::{SearchConfig, SearchControl, SearchEvent, SketchedRequest};
+use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -96,8 +100,16 @@ pub trait PlatformService {
 pub struct SearchSession {
     id: u64,
     control: SearchControl,
-    events: mpsc::Receiver<SearchEvent>,
-    result: mpsc::Receiver<Result<SearchReply>>,
+    stream: Stream,
+}
+
+/// Where a session's events and reply come from.
+#[derive(Debug)]
+enum Stream {
+    /// Typed values sent by a platform worker.
+    Local { events: mpsc::Receiver<SearchEvent>, result: mpsc::Receiver<Result<SearchReply>> },
+    /// Envelopes decoded on the waiting thread.
+    Wire(Box<RefCell<WireDecoder>>),
 }
 
 impl SearchSession {
@@ -107,7 +119,18 @@ impl SearchSession {
         events: mpsc::Receiver<SearchEvent>,
         result: mpsc::Receiver<Result<SearchReply>>,
     ) -> Self {
-        SearchSession { id, control, events, result }
+        SearchSession { id, control, stream: Stream::Local { events, result } }
+    }
+
+    /// A session whose frames arrive from `source`, decoded as they are
+    /// pulled.
+    pub(crate) fn over_wire(
+        id: u64,
+        control: SearchControl,
+        source: impl FrameSource + 'static,
+    ) -> Self {
+        let decoder = WireDecoder { source: Box::new(source), reply: None };
+        SearchSession { id, control, stream: Stream::Wire(Box::new(RefCell::new(decoder))) }
     }
 
     /// Platform-assigned session id.
@@ -128,7 +151,10 @@ impl SearchSession {
 
     /// Next streamed event, blocking; `None` once the stream ends.
     pub fn next_event(&self) -> Option<SearchEvent> {
-        self.events.recv().ok()
+        match &self.stream {
+            Stream::Local { events, .. } => events.recv().ok(),
+            Stream::Wire(decoder) => decoder.borrow_mut().next_event(),
+        }
     }
 
     /// Drain remaining events, then return the final reply.
@@ -139,12 +165,20 @@ impl SearchSession {
     /// Like [`SearchSession::wait`], forwarding each event to `on_event`
     /// as it streams in.
     pub fn wait_with(self, mut on_event: impl FnMut(SearchEvent)) -> Result<SearchReply> {
-        while let Ok(ev) = self.events.recv() {
+        while let Some(ev) = self.next_event() {
             on_event(ev);
         }
-        self.result
-            .recv()
-            .map_err(|_| CoreError::Service("search session worker vanished".into()))?
+        self.reply()
+    }
+
+    /// The final reply, skipping any events not pulled yet.
+    fn reply(&self) -> Result<SearchReply> {
+        match &self.stream {
+            Stream::Local { result, .. } => result
+                .recv()
+                .map_err(|_| CoreError::Service("search session worker vanished".into()))?,
+            Stream::Wire(decoder) => decoder.borrow_mut().reply(),
+        }
     }
 }
 
@@ -201,53 +235,117 @@ impl PlatformService for InProcess {
     }
 }
 
-/// Serialize a value to wire JSON, mapping failures to a wire error.
-fn to_wire_json<T: serde::Serialize>(value: &T) -> Result<String> {
-    serde_json::to_string(value).map_err(|e| CoreError::Wire {
-        code: ErrorCode::Malformed,
-        message: format!("encode: {e}"),
+/// Serialize an envelope or a frame. Should that ever fail, the peer gets
+/// a typed `Internal` error in the `{v, ok: null, err}` shape every
+/// response envelope shares, never an empty or untyped message.
+pub(crate) fn encode_envelope<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap_or_else(|e| {
+        let fallback = WireSearchResponse::err(ErrorCode::Internal, format!("encode: {e}"));
+        serde_json::to_string(&fallback).expect("an envelope of strings always serializes")
     })
 }
 
-/// Wire transport: every message round-trips through the versioned JSON
-/// protocol — requests client→server, events and responses server→client —
-/// exactly as a networked frontend would carry them. The transport itself
-/// is in-memory (`Arc` to the platform), so tests and benches exercise the
-/// full serialization path without sockets.
-#[derive(Debug, Clone)]
-pub struct JsonWire {
-    platform: Arc<CentralPlatform>,
+/// Decode an envelope; a parse failure is a typed `Malformed` error naming
+/// `what` was being decoded.
+pub(crate) fn decode<T: for<'de> Deserialize<'de>>(json: &str, what: &str) -> Result<T> {
+    serde_json::from_str(json).map_err(|e| CoreError::Wire {
+        code: ErrorCode::Malformed,
+        message: format!("decode {what}: {e}"),
+    })
 }
 
-impl JsonWire {
-    /// Wrap a shared platform.
-    pub fn new(platform: Arc<CentralPlatform>) -> Self {
-        JsonWire { platform }
-    }
+/// Where a wire client pulls a session's [`ServerFrame`]s from: a socket
+/// ([`crate::TcpWire`]) or a [`WireSession`] in the same process
+/// ([`JsonWire`]).
+pub(crate) trait FrameSource: Send + std::fmt::Debug {
+    /// The next frame, blocking until it arrives.
+    fn next_frame(&mut self) -> Result<ServerFrame>;
+}
 
-    /// Ship one admin op through the wire protocol.
-    fn admin(&self, op: AdminOp) -> Result<AdminReply> {
-        let json = to_wire_json(&WireAdminRequest { v: WIRE_VERSION, op })?;
-        let response = self.platform.wire_admin(&json);
-        let decoded: WireAdminResponse =
-            serde_json::from_str(&response).map_err(|e| CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("decode admin response: {e}"),
-            })?;
-        decoded.into_result()
+/// A frame where the protocol does not allow it: a framing `Error`
+/// decodes to its typed error, anything else is `Malformed`.
+pub(crate) fn unexpected(frame: ServerFrame, position: &str) -> CoreError {
+    match frame {
+        ServerFrame::Error { json } => {
+            decode::<WireError>(&json, "error frame").map_or_else(|e| e, WireError::into_core)
+        }
+        other => CoreError::Wire {
+            code: ErrorCode::Malformed,
+            message: format!("unexpected frame in {position} position: {other:?}"),
+        },
     }
 }
 
-impl PlatformService for JsonWire {
+/// The client half of a session: typed values out of envelopes.
+#[derive(Debug)]
+struct WireDecoder {
+    source: Box<dyn FrameSource>,
+    /// Set once the stream has ended, by the `Result` or by a failure.
+    reply: Option<Result<SearchReply>>,
+}
+
+impl WireDecoder {
+    fn next_event(&mut self) -> Option<SearchEvent> {
+        if self.reply.is_some() {
+            return None;
+        }
+        let reply = match self.source.next_frame() {
+            Ok(ServerFrame::Event { json, .. }) => match decode::<WireEvent>(&json, "event") {
+                Ok(envelope) if envelope.v == WIRE_VERSION => return Some(envelope.event),
+                Ok(envelope) => Err(CoreError::Wire {
+                    code: ErrorCode::UnsupportedVersion,
+                    message: format!("client speaks v{WIRE_VERSION}, event is v{}", envelope.v),
+                }),
+                Err(e) => Err(e),
+            },
+            Ok(ServerFrame::Result { json, .. }) => {
+                decode::<WireSearchResponse>(&json, "search response")
+                    .and_then(WireSearchResponse::into_result)
+            }
+            Ok(other) => Err(unexpected(other, "mid-session")),
+            Err(e) => Err(e),
+        };
+        self.reply = Some(reply);
+        None
+    }
+
+    fn reply(&mut self) -> Result<SearchReply> {
+        while self.next_event().is_some() {}
+        self.reply.take().unwrap_or_else(|| Err(CoreError::Service("reply already taken".into())))
+    }
+}
+
+/// How a wire client reaches a server, and nothing more: requests go out,
+/// response envelopes come back. Every link is a [`PlatformService`]
+/// through the one codec below.
+pub(crate) trait WireLink {
+    /// Carry a `Register` or `Admin` frame; the response envelope.
+    fn call(&self, frame: ClientFrame) -> Result<String>;
+    /// Carry a search request envelope.
+    fn open(&self, request_json: String) -> Result<Opened>;
+}
+
+/// What a link's [`WireLink::open`] got back.
+pub(crate) enum Opened {
+    /// The server admitted the search.
+    Session(SearchSession),
+    /// The server refused it: the serialized error response.
+    Rejected(String),
+}
+
+/// A reply of the wrong kind to an admin request.
+fn mismatched(op: &str) -> CoreError {
+    CoreError::Wire {
+        code: ErrorCode::Malformed,
+        message: format!("mismatched reply to a {op} request"),
+    }
+}
+
+impl<L: WireLink> PlatformService for L {
     fn register(&self, upload: ProviderUpload) -> Result<()> {
-        let json = to_wire_json(&WireRegisterRequest { v: WIRE_VERSION, upload })?;
-        let response = self.platform.wire_register(&json);
-        let decoded: WireRegisterResponse =
-            serde_json::from_str(&response).map_err(|e| CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("decode register response: {e}"),
-            })?;
-        decoded.into_result().map(|_| ())
+        let json = encode_envelope(&WireRegisterRequest { v: WIRE_VERSION, upload });
+        let response = self.call(ClientFrame::Register { json })?;
+        decode::<WireRegisterResponse>(&response, "register response")?.into_result().map(|_| ())
     }
 
     fn submit(
@@ -265,111 +363,161 @@ impl PlatformService for JsonWire {
         request_id: Option<u64>,
     ) -> Result<SearchSession> {
         let json =
-            to_wire_json(&WireSearchRequest { v: WIRE_VERSION, request, config, request_id })?;
-        let wire_session = match self.platform.wire_submit(&json) {
-            Ok(s) => s,
-            Err(error_json) => {
-                let decoded: WireSearchResponse =
-                    serde_json::from_str(&error_json).map_err(|e| CoreError::Wire {
-                        code: ErrorCode::Malformed,
-                        message: format!("decode submit error: {e}"),
-                    })?;
-                return Err(decoded
-                    .into_result()
-                    .err()
-                    .unwrap_or_else(|| CoreError::Service("submit failed without error".into())));
-            }
-        };
-
-        // Client-side decoder: turn the JSON event/response stream back
-        // into typed values on a forwarding thread.
-        let (event_tx, event_rx) = mpsc::channel();
-        let (result_tx, result_rx) = mpsc::sync_channel(1);
-        let id = wire_session.id;
-        let control = wire_session.control.clone();
-        std::thread::spawn(move || {
-            for event_json in wire_session.events.iter() {
-                match serde_json::from_str::<WireEvent>(&event_json) {
-                    Ok(we) if we.v == WIRE_VERSION => {
-                        let _ = event_tx.send(we.event);
-                    }
-                    _ => break,
-                }
-            }
-            drop(event_tx);
-            let result = match wire_session.result.recv() {
-                Ok(response_json) => serde_json::from_str::<WireSearchResponse>(&response_json)
-                    .map_err(|e| CoreError::Wire {
-                        code: ErrorCode::Malformed,
-                        message: format!("decode search response: {e}"),
-                    })
-                    .and_then(WireSearchResponse::into_result),
-                Err(_) => Err(CoreError::Service("wire session dropped".into())),
-            };
-            let _ = result_tx.send(result);
-        });
-        Ok(SearchSession::new(id, control, event_rx, result_rx))
+            encode_envelope(&WireSearchRequest { v: WIRE_VERSION, request, config, request_id });
+        match self.open(json)? {
+            Opened::Session(session) => Ok(session),
+            // Overloaded retry hints and shard ids survive intact.
+            Opened::Rejected(json) => Err(decode::<WireSearchResponse>(&json, "submit rejection")?
+                .into_result()
+                .err()
+                .unwrap_or_else(|| CoreError::Wire {
+                    code: ErrorCode::Malformed,
+                    message: "submit rejected without an error".into(),
+                })),
+        }
     }
 
     fn num_datasets(&self) -> usize {
-        self.platform.num_datasets()
+        self.stats().map_or(0, |stats| stats.datasets)
     }
 
     fn checkpoint(&self) -> Result<CheckpointReceipt> {
-        match self.admin(AdminOp::Checkpoint)? {
+        match admin(self, AdminOp::Checkpoint)? {
             AdminReply::Checkpoint(receipt) => Ok(receipt),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a checkpoint request".into(),
-            }),
+            _ => Err(mismatched("checkpoint")),
         }
     }
 
     fn stats(&self) -> Result<PlatformStats> {
-        match self.admin(AdminOp::Stats)? {
+        match admin(self, AdminOp::Stats)? {
             AdminReply::Stats(stats) => Ok(stats),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a stats request".into(),
-            }),
+            _ => Err(mismatched("stats")),
         }
     }
 
     fn metrics(&self) -> Result<MetricsReport> {
-        match self.admin(AdminOp::Metrics)? {
+        match admin(self, AdminOp::Metrics)? {
             AdminReply::Metrics(report) => Ok(report),
-            _ => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: "mismatched reply to a metrics request".into(),
-            }),
+            _ => Err(mismatched("metrics")),
         }
     }
 }
 
-/// Server side of a wire-transport session: streams of already-serialized
-/// envelopes (one JSON string per event, one final response).
+/// Ship one admin op over a link.
+fn admin(link: &impl WireLink, op: AdminOp) -> Result<AdminReply> {
+    let json = encode_envelope(&WireAdminRequest { v: WIRE_VERSION, op });
+    decode::<WireAdminResponse>(&link.call(ClientFrame::Admin { json })?, "admin response")?
+        .into_result()
+}
+
+/// Wire transport without a socket: every message round-trips through the
+/// versioned JSON protocol, exactly as a networked frontend carries it,
+/// but the envelopes are handed straight to the server entry points, so
+/// tests and benches exercise the full serialization path in-process.
+#[derive(Debug, Clone)]
+pub struct JsonWire {
+    platform: Arc<CentralPlatform>,
+}
+
+impl JsonWire {
+    /// Wrap a shared platform.
+    pub fn new(platform: Arc<CentralPlatform>) -> Self {
+        JsonWire { platform }
+    }
+}
+
+impl WireLink for JsonWire {
+    fn call(&self, frame: ClientFrame) -> Result<String> {
+        match frame {
+            ClientFrame::Register { json } => Ok(wire_register(&*self.platform, &json)),
+            ClientFrame::Admin { json } => Ok(wire_admin(&*self.platform, &json)),
+            other => Err(CoreError::Wire {
+                code: ErrorCode::Malformed,
+                message: format!("{other:?} is not a request/response frame"),
+            }),
+        }
+    }
+
+    fn open(&self, request_json: String) -> Result<Opened> {
+        Ok(match wire_submit(&*self.platform, &request_json) {
+            Ok(session) => Opened::Session(SearchSession::over_wire(
+                session.id,
+                session.control.clone(),
+                session,
+            )),
+            Err(rejection) => Opened::Rejected(rejection),
+        })
+    }
+}
+
+/// Server side of a wire-transport session: a pull-based encoder over the
+/// typed [`SearchSession`]. Whoever moves the bytes (the TCP server's
+/// forwarder, or [`JsonWire`] on the waiting thread) pulls serialized
+/// events one at a time, then the final response.
 #[derive(Debug)]
 pub struct WireSession {
     /// Platform-assigned session id.
     pub id: u64,
     /// Shared run control (the transport's out-of-band cancellation line).
     pub control: SearchControl,
-    /// Serialized [`WireEvent`] envelopes, in order.
-    pub events: mpsc::Receiver<String>,
-    /// The serialized final [`WireSearchResponse`].
-    pub result: mpsc::Receiver<String>,
+    session: SearchSession,
+    request_id: Option<u64>,
+}
+
+impl WireSession {
+    /// The next serialized [`WireEvent`] envelope, blocking; `None` once
+    /// the event stream ends.
+    pub fn next_event(&self) -> Option<String> {
+        let event = self.session.next_event()?;
+        Some(encode_envelope(&WireEvent { v: WIRE_VERSION, session: self.id, event }))
+    }
+
+    /// Block for the final response, skipping events not pulled yet.
+    pub fn finish(&self) -> WireSearchResponse {
+        match self.session.reply() {
+            // Echo the caller's correlation id into the reply here, at the
+            // wire boundary: the platform itself never sees request ids.
+            Ok(mut reply) => {
+                reply.request_id = self.request_id;
+                WireSearchResponse::ok(reply)
+            }
+            Err(e) => WireSearchResponse::err_core(&e),
+        }
+    }
+}
+
+impl FrameSource for WireSession {
+    fn next_frame(&mut self) -> Result<ServerFrame> {
+        let session = self.id;
+        Ok(match self.next_event() {
+            Some(json) => ServerFrame::Event { session, json },
+            None => ServerFrame::Result { session, json: encode_envelope(&self.finish()) },
+        })
+    }
+}
+
+/// Parse a request envelope and check its protocol version; on failure,
+/// the code and message of the error response.
+fn parse_request<T: for<'de> Deserialize<'de>>(
+    json: &str,
+    version: fn(&T) -> u32,
+) -> std::result::Result<T, (ErrorCode, String)> {
+    let req = serde_json::from_str(json).map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
+    match version(&req) {
+        WIRE_VERSION => Ok(req),
+        v => Err((
+            ErrorCode::UnsupportedVersion,
+            format!("server speaks v{WIRE_VERSION}, request is v{v}"),
+        )),
+    }
 }
 
 /// Server entry point for registration over the wire: parse, check the
 /// version, execute against any [`PlatformService`]; always answers with a
 /// serialized [`WireRegisterResponse`] envelope.
 pub fn wire_register(service: &(impl PlatformService + ?Sized), request_json: &str) -> String {
-    let response = match serde_json::from_str::<WireRegisterRequest>(request_json) {
-        Err(e) => WireRegisterResponse::err(ErrorCode::Malformed, e.to_string()),
-        Ok(req) if req.v != WIRE_VERSION => WireRegisterResponse::err(
-            ErrorCode::UnsupportedVersion,
-            format!("server speaks v{WIRE_VERSION}, request is v{}", req.v),
-        ),
+    let response = match parse_request(request_json, |r: &WireRegisterRequest| r.v) {
+        Err((code, message)) => WireRegisterResponse::err(code, message),
         Ok(req) => {
             let dataset = req.upload.sketch.name.clone();
             match service.register(req.upload) {
@@ -381,20 +529,15 @@ pub fn wire_register(service: &(impl PlatformService + ?Sized), request_json: &s
             }
         }
     };
-    serde_json::to_string(&response)
-        .unwrap_or_else(|_| format!("{{\"v\":{WIRE_VERSION},\"ok\":null,\"err\":{{\"code\":\"Internal\",\"message\":\"encode failure\"}}}}"))
+    encode_envelope(&response)
 }
 
 /// Server entry point for admin calls over the wire: parse, check the
 /// version, execute against any [`PlatformService`]; always answers with a
 /// serialized [`WireAdminResponse`] envelope.
 pub fn wire_admin(service: &(impl PlatformService + ?Sized), request_json: &str) -> String {
-    let response = match serde_json::from_str::<WireAdminRequest>(request_json) {
-        Err(e) => WireAdminResponse::err(ErrorCode::Malformed, e.to_string()),
-        Ok(req) if req.v != WIRE_VERSION => WireAdminResponse::err(
-            ErrorCode::UnsupportedVersion,
-            format!("server speaks v{WIRE_VERSION}, request is v{}", req.v),
-        ),
+    let response = match parse_request(request_json, |r: &WireAdminRequest| r.v) {
+        Err((code, message)) => WireAdminResponse::err(code, message),
         Ok(req) => {
             let result = match req.op {
                 AdminOp::Checkpoint => service.checkpoint().map(AdminReply::Checkpoint),
@@ -407,70 +550,29 @@ pub fn wire_admin(service: &(impl PlatformService + ?Sized), request_json: &str)
             }
         }
     };
-    serde_json::to_string(&response)
-        .unwrap_or_else(|_| format!("{{\"v\":{WIRE_VERSION},\"ok\":null,\"err\":{{\"code\":\"Internal\",\"message\":\"encode failure\"}}}}"))
+    encode_envelope(&response)
 }
 
 /// Server entry point for search over the wire: parse, check the version,
-/// submit to any [`PlatformService`]. On acceptance, returns a
-/// [`WireSession`] whose events/result are serialized envelopes; on
-/// rejection, returns the serialized error response.
+/// submit to any [`PlatformService`]. On acceptance, returns the
+/// [`WireSession`] encoder; on rejection, the serialized error response.
 pub fn wire_submit(
     service: &(impl PlatformService + ?Sized),
     request_json: &str,
 ) -> std::result::Result<WireSession, String> {
-    let reject = |code: ErrorCode, message: String| {
-        serde_json::to_string(&WireSearchResponse::err(code, message))
-            .unwrap_or_else(|_| "{\"v\":1,\"ok\":null,\"err\":null}".to_string())
-    };
-    let req = match serde_json::from_str::<WireSearchRequest>(request_json) {
-        Err(e) => return Err(reject(ErrorCode::Malformed, e.to_string())),
-        Ok(req) if req.v != WIRE_VERSION => {
-            return Err(reject(
-                ErrorCode::UnsupportedVersion,
-                format!("server speaks v{WIRE_VERSION}, request is v{}", req.v),
-            ))
-        }
-        Ok(req) => req,
-    };
-    let request_id = req.request_id;
-    let session = match service.submit_tagged(req.request, req.config, request_id) {
-        Ok(s) => s,
+    let req = parse_request(request_json, |r: &WireSearchRequest| r.v)
+        .map_err(|(code, message)| encode_envelope(&WireSearchResponse::err(code, message)))?;
+    match service.submit_tagged(req.request, req.config, req.request_id) {
+        Ok(session) => Ok(WireSession {
+            id: session.id(),
+            control: session.control().clone(),
+            session,
+            request_id: req.request_id,
+        }),
         // Structured rejection: Overloaded keeps its queue depth and
         // retry hint on the wire so clients can back off properly.
-        Err(e) => {
-            return Err(serde_json::to_string(&WireSearchResponse::err_core(&e))
-                .unwrap_or_else(|_| "{\"v\":1,\"ok\":null,\"err\":null}".to_string()))
-        }
-    };
-
-    // Server-side encoder: serialize each event and the final reply.
-    let (event_tx, event_rx) = mpsc::channel();
-    let (result_tx, result_rx) = mpsc::sync_channel(1);
-    let id = session.id();
-    let control = session.control().clone();
-    std::thread::spawn(move || {
-        let session_id = id;
-        let reply = session.wait_with(|ev| {
-            let envelope = WireEvent { v: WIRE_VERSION, session: session_id, event: ev };
-            if let Ok(json) = serde_json::to_string(&envelope) {
-                let _ = event_tx.send(json);
-            }
-        });
-        let response = match reply {
-            // Echo the caller's correlation id into the reply here, at the
-            // wire boundary — the platform itself never sees request ids.
-            Ok(mut r) => {
-                r.request_id = request_id;
-                WireSearchResponse::ok(r)
-            }
-            Err(e) => WireSearchResponse::err_core(&e),
-        };
-        let json = serde_json::to_string(&response)
-            .unwrap_or_else(|_| "{\"v\":1,\"ok\":null,\"err\":null}".to_string());
-        let _ = result_tx.send(json);
-    });
-    Ok(WireSession { id, control, events: event_rx, result: result_rx })
+        Err(e) => Err(encode_envelope(&WireSearchResponse::err_core(&e))),
+    }
 }
 
 /// The platform itself is a [`PlatformService`]: the trait's reference
@@ -508,24 +610,6 @@ impl<L: Layout> PlatformService for Platform<L> {
 
     fn metrics_handle(&self) -> Option<Arc<Metrics>> {
         Some(Arc::clone(self.metrics_registry()))
-    }
-}
-
-impl<L: Layout> Platform<L> {
-    /// Registration over the wire ([`wire_register`] against this
-    /// platform).
-    pub fn wire_register(&self, request_json: &str) -> String {
-        wire_register(self, request_json)
-    }
-
-    /// Admin calls over the wire ([`wire_admin`] against this platform).
-    pub fn wire_admin(&self, request_json: &str) -> String {
-        wire_admin(self, request_json)
-    }
-
-    /// Search over the wire ([`wire_submit`] against this platform).
-    pub fn wire_submit(&self, request_json: &str) -> std::result::Result<WireSession, String> {
-        wire_submit(self, request_json)
     }
 }
 
@@ -588,7 +672,7 @@ mod tests {
         let platform = platform_with_provider();
         // Garbage payload.
         let resp: WireRegisterResponse =
-            serde_json::from_str(&platform.wire_register("{ not json")).unwrap();
+            serde_json::from_str(&wire_register(&*platform, "{ not json")).unwrap();
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::Malformed);
         // Wrong version: serialize a valid request, then bump v.
         let upload = LocalDataStore::new(
@@ -602,7 +686,7 @@ mod tests {
         .unwrap();
         let json = serde_json::to_string(&WireRegisterRequest { v: 99, upload }).unwrap();
         let resp: WireRegisterResponse =
-            serde_json::from_str(&platform.wire_register(&json)).unwrap();
+            serde_json::from_str(&wire_register(&*platform, &json)).unwrap();
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::UnsupportedVersion);
         assert_eq!(platform.num_datasets(), 1, "rejected upload must not register");
     }
@@ -617,7 +701,7 @@ mod tests {
             request_id: None,
         })
         .unwrap();
-        let err_json = platform.wire_submit(&json).unwrap_err();
+        let err_json = wire_submit(&*platform, &json).unwrap_err();
         let resp: WireSearchResponse = serde_json::from_str(&err_json).unwrap();
         let err = resp.into_result().unwrap_err();
         assert!(matches!(err, CoreError::Wire { code: ErrorCode::UnsupportedVersion, .. }));
@@ -653,10 +737,11 @@ mod tests {
         assert_eq!(via_wire.storage.as_ref().unwrap().snapshot_seq, Some(1));
 
         // Version and garbage rejection on the admin entry point.
-        let resp: WireAdminResponse = serde_json::from_str(&platform.wire_admin("{ nope")).unwrap();
+        let resp: WireAdminResponse =
+            serde_json::from_str(&wire_admin(&*platform, "{ nope")).unwrap();
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::Malformed);
         let bad = serde_json::to_string(&WireAdminRequest { v: 9, op: AdminOp::Stats }).unwrap();
-        let resp: WireAdminResponse = serde_json::from_str(&platform.wire_admin(&bad)).unwrap();
+        let resp: WireAdminResponse = serde_json::from_str(&wire_admin(&*platform, &bad)).unwrap();
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::UnsupportedVersion);
 
         // Volatile platforms answer stats but refuse checkpoint, with the
@@ -738,20 +823,14 @@ mod tests {
         })
         .unwrap();
         let session = wire_submit(sharded.as_ref(), &degraded).unwrap();
-        let reply = serde_json::from_str::<WireSearchResponse>(&session.result.recv().unwrap())
-            .unwrap()
-            .into_result()
-            .unwrap();
+        let reply = session.finish().into_result().unwrap();
         assert!(reply.degraded, "partial scatter must label the reply");
         assert_eq!(reply.shards_missing, vec![1]);
 
         // Back to full strength: unlabeled again.
         sharded.set_shard_available(1, true);
         let session = wire_submit(sharded.as_ref(), &degraded).unwrap();
-        let reply = serde_json::from_str::<WireSearchResponse>(&session.result.recv().unwrap())
-            .unwrap()
-            .into_result()
-            .unwrap();
+        let reply = session.finish().into_result().unwrap();
         assert!(!reply.degraded);
         assert!(reply.shards_missing.is_empty());
     }
@@ -766,16 +845,15 @@ mod tests {
             request_id: Some(7001),
         })
         .unwrap();
-        let session = platform.wire_submit(&json).unwrap();
-        let events: Vec<String> = session.events.iter().collect();
+        let session = wire_submit(&*platform, &json).unwrap();
+        let events: Vec<String> = std::iter::from_fn(|| session.next_event()).collect();
         assert!(!events.is_empty());
         for ev in &events {
             let decoded: WireEvent = serde_json::from_str(ev).unwrap();
             assert_eq!(decoded.v, WIRE_VERSION);
             assert_eq!(decoded.session, session.id);
         }
-        let final_json = session.result.recv().unwrap();
-        let response: WireSearchResponse = serde_json::from_str(&final_json).unwrap();
+        let response = session.finish();
         let reply = response.into_result().unwrap();
         assert_eq!(reply.request_id, Some(7001), "wire layer must echo the correlation id");
         assert!(reply.spans.total_ns >= reply.spans.run_ns, "total span covers the run stage");

@@ -20,8 +20,8 @@ use mileena_sketch::SketchStore;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Why a search loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,11 +45,51 @@ pub enum StopReason {
 /// Cooperative run control for a search: a shared cancellation flag plus an
 /// optional hard deadline, checked between greedy rounds. Clones share the
 /// same flag, so a service can hand one end to the requester and thread the
-/// other into the loop.
+/// other into the loop. Raising the flag also runs the hooks registered with
+/// [`SearchControl::on_cancel`] and wakes [`SearchControl::pause`], so
+/// nothing has to poll it.
 #[derive(Debug, Clone, Default)]
 pub struct SearchControl {
-    cancel: Arc<AtomicBool>,
+    cancel: Arc<CancelFlag>,
     deadline: Option<Instant>,
+}
+
+/// A cancellation hook (see [`SearchControl::on_cancel`]).
+type CancelHook = Box<dyn FnOnce() + Send>;
+
+/// The shared half of a [`SearchControl`].
+#[derive(Default)]
+struct CancelFlag {
+    raised: AtomicBool,
+    /// Hooks not run yet; whichever thread sees the flag up drains them.
+    hooks: Mutex<Vec<CancelHook>>,
+    /// Signalled when the flag goes up.
+    woken: Condvar,
+}
+
+impl std::fmt::Debug for CancelFlag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CancelFlag").field("raised", &self.raised).finish_non_exhaustive()
+    }
+}
+
+impl CancelFlag {
+    fn hooks(&self) -> MutexGuard<'_, Vec<CancelHook>> {
+        self.hooks.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// If the flag is up, run every pending hook and wake every pause.
+    /// Taking the hooks under the lock runs each exactly once.
+    fn fire(&self) {
+        if !self.raised.load(Ordering::SeqCst) {
+            return;
+        }
+        let hooks = std::mem::take(&mut *self.hooks());
+        self.woken.notify_all();
+        for hook in hooks {
+            hook();
+        }
+    }
 }
 
 impl SearchControl {
@@ -65,12 +105,28 @@ impl SearchControl {
 
     /// Request cancellation; the loop stops at the next round boundary.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::SeqCst);
+        self.cancel.raised.store(true, Ordering::SeqCst);
+        self.cancel.fire();
     }
 
     /// Whether cancellation was requested.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::SeqCst)
+        self.cancel.raised.load(Ordering::SeqCst)
+    }
+
+    /// Run `hook` once, on the thread that cancels this control, or right
+    /// away if it already is cancelled. A transport uses it to carry a
+    /// cancel across a process boundary without watching the flag.
+    pub fn on_cancel(&self, hook: impl FnOnce() + Send + 'static) {
+        self.cancel.hooks().push(Box::new(hook));
+        self.cancel.fire();
+    }
+
+    /// Block for `delay`, or until the control is cancelled if that comes
+    /// first.
+    pub fn pause(&self, delay: Duration) {
+        let hooks = self.cancel.hooks();
+        let _ = self.cancel.woken.wait_timeout_while(hooks, delay, |_| !self.is_cancelled());
     }
 
     /// Whether the deadline (if any) has passed.

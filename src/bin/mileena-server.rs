@@ -46,7 +46,7 @@ use mileena_obs::{render_prometheus, SlowSearchLog};
 use mileena_storage::{FaultKind, FaultPlan, FaultSite};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -228,24 +228,16 @@ fn main() -> ExitCode {
     println!("listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
 
-    // Periodic Prometheus-style dump to stderr, when asked for.
-    let stop_dumper = Arc::new(AtomicBool::new(false));
+    // Periodic Prometheus-style dump to stderr, when asked for. Dropping
+    // `stop_dumper` at shutdown ends the wait at once.
+    let (stop_dumper, stopped) = mpsc::channel::<()>();
     let dumper = (args.metrics_interval > 0).then(|| {
         let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop_dumper);
         let interval = Duration::from_secs(args.metrics_interval);
         std::thread::spawn(move || {
-            // Tick in short slices so shutdown never waits a full interval.
-            let slice = Duration::from_millis(50);
-            let mut elapsed = Duration::ZERO;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(slice);
-                elapsed += slice;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    if let Ok(report) = service.metrics() {
-                        eprint!("{}", render_prometheus(&report));
-                    }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                if let Ok(report) = service.metrics() {
+                    eprint!("{}", render_prometheus(&report));
                 }
             }
         })
@@ -288,7 +280,7 @@ fn main() -> ExitCode {
     }
 
     server.shutdown();
-    stop_dumper.store(true, Ordering::SeqCst);
+    drop(stop_dumper);
     if let Some(handle) = dumper {
         let _ = handle.join();
     }

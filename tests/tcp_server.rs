@@ -13,7 +13,10 @@
 //!    session cancelled; the scheduler's counters drain to zero.
 //! 4. **Backpressure crosses the wire** — `Overloaded { retry_after_ms }`
 //!    arrives typed, with its retry hint intact.
-//! 5. **The binary is a real server** — boot `mileena-server`, use it,
+//! 5. **One connection, no ticks** — sequential searches reuse one pooled
+//!    connection, a cancel from any thread crosses as a frame, and
+//!    shutdown returns while clients hold connections open.
+//! 6. **The binary is a real server** — boot `mileena-server`, use it,
 //!    SIGKILL it, reboot on the same directory, get identical results;
 //!    a polite shutdown exits 0.
 
@@ -23,7 +26,7 @@ use mileena::core::{
     ShardedPlatform, TcpServer, TcpServerConfig, TcpWire, WIRE_VERSION,
 };
 use mileena::datagen::{generate_corpus, CorpusConfig, NycCorpus};
-use mileena::search::{SearchConfig, SketchedRequest, TaskSpec};
+use mileena::search::{SearchConfig, SketchedRequest, StopReason, TaskSpec};
 use mileena::storage::{FaultKind, FaultPlan, FaultSite};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -404,6 +407,134 @@ fn pooled_connection_survives_server_restart() {
         .stats()
         .expect("a stale pooled connection must be dropped and redialed, not poison the client");
     assert_eq!(stats.datasets, 0, "the reply comes from the fresh server");
+    server.shutdown();
+}
+
+/// A central platform holding the test corpus behind a single worker that
+/// `plan` can stall, served over TCP.
+fn stallable_server(c: &NycCorpus, plan: &Arc<FaultPlan>) -> (Arc<CentralPlatform>, TcpServer) {
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig {
+        scheduler: SchedulerConfig {
+            workers: Some(1),
+            queue_depth: 4,
+            faults: Some(Arc::clone(plan)),
+        },
+        ..Default::default()
+    }));
+    serve(c, &InProcess::new(Arc::clone(&platform)));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&platform) as Arc<dyn PlatformService + Send + Sync>,
+        TcpServerConfig::default(),
+    )
+    .unwrap();
+    (platform, server)
+}
+
+#[test]
+fn sequential_searches_reuse_one_pooled_connection() {
+    let c = corpus();
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig::default()));
+    serve(&c, &InProcess::new(Arc::clone(&platform)));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&platform) as Arc<dyn PlatformService + Send + Sync>,
+        TcpServerConfig::default(),
+    )
+    .unwrap();
+    let client = TcpWire::connect(server.local_addr()).unwrap();
+    let reference = client.search(sketched(&c, "warm"), None).unwrap();
+
+    let connections = || platform.metrics().counter("net_connections").unwrap();
+    let before = connections();
+    for i in 0..20 {
+        let reply = client.search(sketched(&c, &format!("seq-{i}")), None).unwrap();
+        assert_replies_identical(&reference, &reply, "reused connection");
+    }
+    let dialed = connections() - before;
+    assert!(dialed <= 1, "20 sequential searches accepted {dialed} new connections");
+    server.shutdown();
+}
+
+#[test]
+fn cancel_from_another_thread_crosses_the_wire() {
+    let c = corpus();
+    let stall = Duration::from_secs(10);
+    let plan = Arc::new(FaultPlan::new(7).with(FaultSite::Worker, FaultKind::Latency(stall), 1000));
+    plan.arm();
+    let (platform, server) = stallable_server(&c, &plan);
+    let client = TcpWire::connect(server.local_addr()).unwrap();
+
+    let started = Instant::now();
+    let session = client.submit(sketched(&c, "changed-my-mind"), None).unwrap();
+    let control = session.control().clone();
+    let canceller = std::thread::spawn(move || {
+        // Give the waiting thread time to block in its read.
+        std::thread::sleep(Duration::from_millis(100));
+        control.cancel();
+    });
+    let reply = session.wait().unwrap();
+    let waited = started.elapsed();
+    canceller.join().unwrap();
+
+    assert_eq!(reply.stop_reason, StopReason::Cancelled);
+    assert!(reply.steps.is_empty());
+    assert!(waited < stall / 4, "the cancel must cut the {stall:?} stall short, took {waited:?}");
+    let stats = platform.stats().unwrap();
+    assert_eq!(stats.scheduler.stops.cancelled, 1, "{:?}", stats.scheduler.stops);
+    assert_eq!(platform.active_sessions(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_with_open_connections_and_flushes_the_search_in_flight() {
+    let c = corpus();
+    let plan = Arc::new(FaultPlan::new(5).with(
+        FaultSite::Worker,
+        FaultKind::Latency(Duration::from_millis(500)),
+        1000,
+    ));
+    let (_platform, server) = stallable_server(&c, &plan);
+    let client = TcpWire::connect(server.local_addr()).unwrap();
+
+    // Three overlapping searches leave three connections idle in the pool.
+    let warm: Vec<_> =
+        (0..3).map(|i| client.submit(sketched(&c, &format!("warm-{i}")), None).unwrap()).collect();
+    let reference = warm.into_iter().map(|s| s.wait().unwrap()).next_back().unwrap();
+
+    // One search stalls on the worker while the server shuts down.
+    plan.arm();
+    let in_flight = client.submit(sketched(&c, "in-flight"), None).unwrap();
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown must not wait on clients holding idle connections"
+    );
+    let reply = in_flight.wait().expect("the in-flight result must reach the client");
+    assert_replies_identical(&reference, &reply, "search drained through shutdown");
+}
+
+#[test]
+fn half_closed_connection_is_closed_once_served() {
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig::default()));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        platform as Arc<dyn PlatformService + Send + Sync>,
+        TcpServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&frame_bytes(&stats_admin_frame())).unwrap();
+    assert!(matches!(read_server_frame(&mut stream), Some(ServerFrame::Reply { .. })));
+
+    // A proxy passes a client's half-close on like this, then waits for
+    // the server to close its end before it lets go of either socket.
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut rest = Vec::new();
+    let closed = stream.read_to_end(&mut rest).map_err(|e| e.kind());
+    assert_eq!(closed, Ok(0), "the server must close a connection its client has finished with");
     server.shutdown();
 }
 
