@@ -4,7 +4,7 @@
 //!
 //! - `open_snapshot/500` — `CentralPlatform::open_with` on a directory
 //!   holding one checkpointed snapshot (the steady-state restart path:
-//!   deserialize + re-intern sketches, rebuild the discovery index from
+//!   deserialize sketches, rebuild the discovery index from
 //!   stored profiles, hydrate the ledger);
 //! - `open_wal_replay/500` — the same recovery from a WAL that was never
 //!   checkpointed (worst-case restart: 500 records replayed one by one);

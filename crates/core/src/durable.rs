@@ -250,16 +250,18 @@ fn put_upload(out: &mut Vec<u8>, tag: u8, upload: &ProviderUpload) -> Result<()>
 /// straight from the arena, and the symmetric `q` matrix packed as its
 /// upper triangle (`m(m+1)/2` of `m²` entries). Since the arena itself
 /// stores the packed triangle, this layout is a **by-reference identity**
-/// over the slabs: encoding copies rows verbatim (key-sorted) and
-/// rehydration hands `qu` straight to `GroupedArena::from_parts` with no
-/// repacking pass in either direction.
+/// over the slabs: encoding copies rows verbatim in row order (key-id
+/// order, the same in every process) and rehydration hands `qu` straight
+/// to `GroupedArena::from_parts` with no repacking pass in either
+/// direction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactKeyed {
     /// The join-key column.
     pub key_column: String,
     /// Shared feature schema (once, not per key).
     pub features: Vec<String>,
-    /// Key values, one per row, in sorted key order.
+    /// Key values, one per row. Writers emit arena row order; readers
+    /// accept any order (`from_parts` sorts rows by id).
     pub keys: Vec<Vec<mileena_relation::KeyValue>>,
     /// Row counts, length `d`.
     pub c: Vec<f64>,
@@ -275,15 +277,12 @@ impl CompactKeyed {
     /// write straight from the arena instead).
     pub fn of(keyed: &mileena_sketch::KeyedSketch) -> CompactKeyed {
         let arena = keyed.arena();
-        let m = arena.num_features();
-        let sorted = arena.sorted_keys();
-        let mut keys = Vec::with_capacity(sorted.len());
-        let mut c = Vec::with_capacity(sorted.len());
-        let mut s = Vec::with_capacity(sorted.len() * m);
-        let mut qu = Vec::with_capacity(sorted.len() * mileena_semiring::packed_len(m));
-        for (r, key) in sorted {
+        let d = arena.num_keys();
+        let mut c = Vec::with_capacity(d);
+        let mut s = Vec::with_capacity(d * arena.num_features());
+        let mut qu = Vec::with_capacity(d * mileena_semiring::packed_len(arena.num_features()));
+        for r in 0..d {
             let (rc, rs, rq) = arena.row(r);
-            keys.push(key);
             c.push(rc);
             s.extend_from_slice(rs);
             qu.extend_from_slice(rq);
@@ -291,41 +290,25 @@ impl CompactKeyed {
         CompactKeyed {
             key_column: keyed.key_column.clone(),
             features: arena.schema().to_vec(),
-            keys,
+            keys: arena.keys(),
             c,
             s,
             qu,
         }
     }
 
-    /// Rehydrate into an arena-backed keyed sketch on the global key space
-    /// (the store re-interns on registration when it uses an isolated one).
-    /// Slab lengths are validated by `GroupedArena::from_parts` — sheared
-    /// slabs surface as a typed storage error, never a panic.
+    /// Rehydrate into an arena-backed keyed sketch. Key ids are content
+    /// hashes, so the rows sort into the order the acknowledging process
+    /// held them in, whatever this process saw first. Slab lengths and keys
+    /// are validated by `GroupedArena::from_parts` — sheared slabs and NULL
+    /// or repeated keys surface as a typed storage error, never a panic.
     pub fn into_keyed(self) -> Result<mileena_sketch::KeyedSketch> {
-        let interner = mileena_semiring::KeyInterner::global();
-        // Arena rows — hence every float sum over them — follow key-id
-        // order, and ids follow first-interning order. Intern unseen keys
-        // in the order the wire path does (`KeyedSketch` deserialization
-        // fills a hash map in listing order, then interns in its iteration
-        // order), so a process replaying an upload numbers its keys like
-        // the process that acknowledged it.
-        if self.keys.iter().any(|key| interner.lookup(key).is_none()) {
-            let mut wire_order = mileena_relation::FxHashSet::default();
-            for key in &self.keys {
-                wire_order.insert(key.as_slice());
-            }
-            for key in wire_order {
-                interner.intern(key);
-            }
-        }
         let arena = mileena_semiring::GroupedArena::from_parts(
             self.features,
             self.keys,
             self.c,
             self.s,
             self.qu,
-            interner,
         )
         .map_err(|e| CoreError::Storage(format!("compact sketch: {e}")))?;
         Ok(mileena_sketch::KeyedSketch::from_arena(self.key_column, arena))
@@ -775,33 +758,32 @@ fn encode_sketch_blob(sketch: &DatasetSketch) -> Result<Vec<u8>> {
         let arena = keyed.arena();
         let m = arena.num_features();
         let p = mileena_semiring::packed_len(m);
-        // Sorted by key *value* so payload bytes are process-independent
-        // (arena row order follows interner-id assignment order).
-        let sorted = arena.sorted_keys();
-        let d = sorted.len();
+        // Row order is key-id order, so payload bytes are
+        // process-independent.
+        let d = arena.num_keys();
         put_str(&mut out, &keyed.key_column)?;
         put_strs(&mut out, arena.schema())?;
         put_u32(&mut out, d)?;
-        for (_, key) in &sorted {
+        for key in arena.keys() {
             put_u32(&mut out, key.len())?;
-            for v in key {
+            for v in &key {
                 put_key_value(&mut out, v)?;
             }
         }
         out.extend_from_slice(&((d * 8) as u64).to_le_bytes());
-        for (r, _) in &sorted {
-            out.extend_from_slice(&arena.row(*r).0.to_le_bytes());
+        for r in 0..d {
+            out.extend_from_slice(&arena.row(r).0.to_le_bytes());
         }
         out.extend_from_slice(&((d * m * 8) as u64).to_le_bytes());
-        for (r, _) in &sorted {
-            for v in arena.row(*r).1 {
+        for r in 0..d {
+            for v in arena.row(r).1 {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
         out.extend_from_slice(&((d * p * 8) as u64).to_le_bytes());
-        for (r, _) in &sorted {
+        for r in 0..d {
             // The arena row *is* the packed triangle: write it verbatim.
-            for v in arena.row(*r).2 {
+            for v in arena.row(r).2 {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -1070,20 +1052,20 @@ mod tests {
     }
 
     /// A non-private upload with an extra keyed sketch whose composite keys
-    /// mix every key value kind (Null / Int / Str).
+    /// mix both joinable key value kinds (Int / Str; NULL keys never reach
+    /// an arena).
     fn mixed_key_upload() -> ProviderUpload {
         let mut u = second_upload();
         let arena = mileena_semiring::GroupedArena::from_parts(
             vec!["e.w".to_string()],
             vec![
-                vec![KeyValue::Null, KeyValue::Int(-7)],
-                vec![KeyValue::Str("ny".into()), KeyValue::Null],
+                vec![KeyValue::Int(9), KeyValue::Int(-7)],
+                vec![KeyValue::Str("ny".into()), KeyValue::Str(String::new())],
                 vec![KeyValue::Int(3), KeyValue::Str("sf".into())],
             ],
             vec![1.0, 2.0, 3.0],
             vec![0.5, -1.5, 2.25],
             vec![0.25, 2.25, 5.0625],
-            mileena_semiring::KeyInterner::global(),
         )
         .unwrap();
         u.sketch.keyed.push(mileena_sketch::KeyedSketch::from_arena("pair", arena));
@@ -1100,7 +1082,7 @@ mod tests {
         }
     }
 
-    /// Every variant, private and non-private uploads, Int / Str / Null keys.
+    /// Every variant, private and non-private uploads, Int / Str keys.
     fn every_op() -> Vec<WalOp> {
         vec![
             WalOp::Register { upload: upload() },

@@ -25,13 +25,14 @@
 //! still routes to the shard holding the spend and cannot launder budget
 //! through the partitioning.
 //!
-//! **Parity.** All shards share one dataset/key interner and one
-//! corpus-global TF-IDF [`TermSpace`], and the search loop's gather
-//! tie-break is the candidate's global enumeration position, so selections,
-//! scores and models are bit-identical at every shard count (pinned by the
-//! `sharded_parity` suite); only execution counters (evaluations/bound
-//! skips) may differ at S > 1, because the distributed pruning walk is a
-//! different — equally admissible — walk.
+//! **Parity.** Join-key ids are content hashes, so every shard orders
+//! arena rows as a single store would; all shards share one dataset
+//! interner and one corpus-global TF-IDF [`TermSpace`]; and the search
+//! loop's gather tie-break is the candidate's global enumeration position,
+//! so selections, scores and models are bit-identical at every shard
+//! count (pinned by the `sharded_parity` suite); only execution counters
+//! (evaluations/bound skips) may differ at S > 1, because the distributed
+//! pruning walk is a different — equally admissible — walk.
 //!
 //! **Unavailability.** A shard marked unavailable fails its mutations
 //! with the typed [`CoreError::ShardUnavailable`]; searches fail fast when
@@ -455,7 +456,8 @@ impl<L: Layout> Platform<L> {
         let terms = TermSpace::new();
         let metrics = Arc::new(Metrics::new());
         // Shards recover from disjoint directories with no cross-shard
-        // ordering dependency (the shared interner and term space are
+        // ordering dependency (key ids do not depend on who saw a key
+        // first, and the shared dataset interner and term space are
         // concurrency-safe), so the S opens run concurrently — restart
         // time is the slowest shard, not the sum. The caller opens shard 0
         // itself, so a one-shard open never leaves its thread (or its

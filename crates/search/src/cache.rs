@@ -163,7 +163,6 @@ impl CandidateCache {
         store: &SketchStore,
         compute_bounds: bool,
     ) -> CandidateCache {
-        let target_interner = state.key_interner();
         let union_bound = (compute_bounds
             && candidates.iter().any(|a| matches!(a, Candidate::Union { .. })))
         .then(|| state.union_score_bound());
@@ -174,18 +173,7 @@ impl CandidateCache {
                 let sketch = store.get_by_id(aug.dataset()).ok()?;
                 let (kind, bound) = match aug {
                     Candidate::Join { query_key, candidate_key, .. } => {
-                        let mut projection = project_join_candidate(&sketch, candidate_key).ok()?;
-                        // Align onto the state's key space here, once — the
-                        // eval hot loop must never re-intern (isolated-store
-                        // setups would otherwise remap per evaluation).
-                        if let Some(target) = &target_interner {
-                            if !Arc::ptr_eq(projection.proj.arena().interner(), target) {
-                                projection.proj = mileena_sketch::KeyedSketch::from_arena(
-                                    projection.proj.key_column.clone(),
-                                    projection.proj.arena().reinterned(target),
-                                );
-                            }
-                        }
+                        let projection = project_join_candidate(&sketch, candidate_key).ok()?;
                         let bound = if compute_bounds {
                             state.join_score_bound(query_key, &projection)
                         } else {

@@ -290,7 +290,7 @@ mod tests {
     fn isolated_dataset_interner_pair_enumerates() {
         // Multi-tenant mode: index and store share one isolated dataset
         // interner (`DiscoveryIndex::with_interner` +
-        // `SketchStore::with_interners`), so discovered ids resolve in the
+        // `SketchStore::with_dataset_interner`), so discovered ids resolve in the
         // store even though the global interner never saw these names.
         let ids = DatasetInterner::new();
         let train = RelationBuilder::new("iso-train")
@@ -305,8 +305,7 @@ mod tests {
             .unwrap();
         let mut index = DiscoveryIndex::with_interner(DiscoveryConfig::default(), Arc::clone(&ids));
         index.register(mileena_discovery::DatasetProfile::of(&prov, 128));
-        let store =
-            SketchStore::with_interners(mileena_semiring::KeyInterner::new(), Arc::clone(&ids));
+        let store = SketchStore::with_dataset_interner(Arc::clone(&ids));
         store.register(build_sketch(&prov, &SketchConfig::default()).unwrap()).unwrap();
 
         let q = mileena_discovery::DatasetProfile::of(&train, 128);

@@ -995,28 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_store_interner_matches_global() {
-        // A store with its own key space must produce the same search as
-        // the default global-interner store: candidate projections are
-        // aligned once at cache build, never per evaluation.
-        let cfg = small_corpus();
-        let (request, store, index) = setup(&cfg);
-        let baseline =
-            search_with_discovery(&request, &store, &index, &SearchConfig::default()).unwrap();
-
-        let corpus = generate_corpus(&cfg);
-        let isolated = SketchStore::with_interner(mileena_semiring::KeyInterner::new());
-        for p in &corpus.providers {
-            isolated.register(build_sketch(p, &SketchConfig::default()).unwrap()).unwrap();
-        }
-        let out =
-            search_with_discovery(&request, &isolated, &index, &SearchConfig::default()).unwrap();
-        assert_eq!(baseline.selected_joins(), out.selected_joins());
-        assert_eq!(baseline.selected_unions(), out.selected_unions());
-        assert!((baseline.final_score - out.final_score).abs() < 1e-12);
-    }
-
-    #[test]
     fn max_augmentations_respected() {
         let cfg = small_corpus();
         let (request, store, index) = setup(&cfg);

@@ -261,14 +261,6 @@ impl ProxyState {
         self.train_keyed.keys().map(|k| k.as_str()).collect()
     }
 
-    /// The key space this state's grouped sketches index into (None when no
-    /// keyed sketches are tracked). Candidate projections are aligned onto
-    /// it **once** at cache build so the evaluation hot loop never
-    /// re-interns.
-    pub fn key_interner(&self) -> Option<std::sync::Arc<mileena_semiring::KeyInterner>> {
-        self.train_keyed.values().next().map(|ks| std::sync::Arc::clone(ks.arena().interner()))
-    }
-
     /// Train the ridge proxy on `train` stats and score R² on `test` stats,
     /// over the given feature set.
     fn score_triples(
@@ -385,16 +377,14 @@ impl ProxyState {
         })?;
 
         // Collect candidate keyed sketches for keys we still track exactly,
-        // projected and renamed the same way (one arena pass per key), and
-        // aligned onto the tracked sketch's key space so a later fold-in
-        // never re-interns.
+        // projected and renamed the same way (one arena pass per key).
         let mut union_keyed = Vec::new();
-        for (key, tracked) in &self.train_keyed {
+        for key in self.train_keyed.keys() {
             if let Ok(ks) = cand.keyed_for(key) {
                 let renamed_arena = ks.arena().renamed(|n| rename(n));
                 if let Ok(projected_arena) = renamed_arena.project(&want_refs) {
-                    let aligned = projected_arena.reinterned(tracked.arena().interner());
-                    union_keyed.push((key.clone(), KeyedSketch::from_arena(key.clone(), aligned)));
+                    union_keyed
+                        .push((key.clone(), KeyedSketch::from_arena(key.clone(), projected_arena)));
                 }
             }
         }

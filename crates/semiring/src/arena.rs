@@ -5,9 +5,9 @@
 //! the search hot loop: a `Vec<String>` feature list clone per triple, three
 //! small heap allocations per triple, and a `Vec<KeyValue>` hash per probe.
 //! [`GroupedArena`] stores one shared feature schema plus three contiguous
-//! slabs — `c` (d), `s` (d·m), `qp` (d·m(m+1)/2) — indexed by an interned
+//! slabs — `c` (d), `s` (d·m), `qp` (d·m(m+1)/2) — indexed by a
 //! [`KeyId`], so composing two sketches is a linear merge over two sorted
-//! `u32` arrays with all arithmetic on flat `f64` rows.
+//! `u64` arrays with all arithmetic on flat `f64` rows.
 //!
 //! The per-key product-sum matrix `Q` is symmetric, so the arena stores
 //! only its **packed upper triangle** ([`packed_len`] entries per row,
@@ -18,11 +18,12 @@
 //! full symmetric matrix is materialized only at the [`CovarTriple`]
 //! boundary ([`GroupedArena::triple_at`], join outputs).
 //!
-//! Keys live in a [`KeyInterner`] (one per sketch store; a process-global
-//! default makes independently built sketches join-compatible). Interner ids
-//! are assigned in first-seen order, so row order inside an arena is an
-//! artifact of build order; every *observable* order (serialization,
-//! noise injection, `sorted_pairs`) goes through the key-sorted view.
+//! A [`KeyId`] is a fixed 64-bit hash of the key value, so every arena in
+//! every process agrees on ids, and rows are sorted by id: row order — the
+//! summation order of every join statistic — is a function of the keys
+//! alone. Orders a reader sees by key value (JSON serialization, the
+//! privacy layer's noise walk, `sorted_pairs`) go through the key-sorted
+//! view.
 
 use crate::covar::CovarTriple;
 use crate::error::{Result, SemiringError};
@@ -69,75 +70,112 @@ pub fn unpack_upper_row(packed: &[f64], m: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// Interned join-key value: a dense `u32` handle into a [`KeyInterner`].
+/// Join-key identity: a fixed 64-bit hash of the key's canonical encoding.
+///
+/// The id is a pure function of the key value — the same in every process,
+/// whatever keys it saw before — so arena row order, and with it the
+/// summation order of every join statistic, depends only on the keys an
+/// arena holds. The encoding is the component count, then per component a
+/// tag word (`Null` 0, `Int` 1, `Str` 2) and its payload (`Int`: the
+/// value; `Str`: the byte length, then the bytes in little-endian 8-byte
+/// words, zero-padded), each word folded in by MurmurHash3's `fmix64`. It is
+/// prefix-free, so distinct keys hash to distinct word streams; the
+/// pinned test vectors make any change to it a deliberate break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct KeyId(pub u32);
+pub struct KeyId(pub u64);
 
-#[derive(Debug, Default)]
-struct InternerInner {
-    map: FxHashMap<Vec<KeyValue>, u32>,
-    keys: Vec<Vec<KeyValue>>,
+/// MurmurHash3's 64-bit finalizer: a bijection with full avalanche.
+#[inline]
+const fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
-/// Append-only, thread-safe interner of join-key values.
-#[derive(Debug, Default)]
-pub struct KeyInterner {
-    inner: RwLock<InternerInner>,
+impl KeyId {
+    /// The id of a key.
+    pub fn of(key: &[KeyValue]) -> KeyId {
+        let absorb = |h: u64, w: u64| fmix64(h ^ w);
+        let mut h = absorb(0x6d69_6c65_656e_612e, key.len() as u64);
+        for v in key {
+            h = match v {
+                KeyValue::Null => absorb(h, 0),
+                KeyValue::Int(i) => absorb(absorb(h, 1), *i as u64),
+                KeyValue::Str(s) => {
+                    let mut h = absorb(absorb(h, 2), s.len() as u64);
+                    for chunk in s.as_bytes().chunks(8) {
+                        let mut word = [0u8; 8];
+                        word[..chunk.len()].copy_from_slice(chunk);
+                        h = absorb(h, u64::from_le_bytes(word));
+                    }
+                    h
+                }
+            };
+        }
+        KeyId(h)
+    }
 }
 
-impl KeyInterner {
-    /// A fresh, empty interner.
-    pub fn new() -> Arc<KeyInterner> {
-        Arc::new(KeyInterner::default())
-    }
+/// The process-wide table from id back to key: every id an arena holds was
+/// entered here, which is how ids resolve to values (serialization, the
+/// key-ordered noise walk, [`GroupedArena::find`]) and how two keys that
+/// share a hash are caught before either can join as the other.
+type KeyTable = RwLock<FxHashMap<KeyId, Box<[KeyValue]>>>;
 
-    /// The process-global interner: the default key space for sketches not
-    /// built against an explicit store.
-    pub fn global() -> &'static Arc<KeyInterner> {
-        static GLOBAL: OnceLock<Arc<KeyInterner>> = OnceLock::new();
-        GLOBAL.get_or_init(KeyInterner::new)
-    }
+fn key_table() -> &'static KeyTable {
+    static TABLE: OnceLock<KeyTable> = OnceLock::new();
+    TABLE.get_or_init(KeyTable::default)
+}
 
-    /// Intern a key, returning its stable id.
-    pub fn intern(&self, key: &[KeyValue]) -> KeyId {
-        if let Some(&id) = self.inner.read().map.get(key) {
-            return KeyId(id);
+/// Enter `key` under `id`; refuses an id already held by another key.
+fn insert_key(
+    table: &mut FxHashMap<KeyId, Box<[KeyValue]>>,
+    id: KeyId,
+    key: Vec<KeyValue>,
+) -> Result<()> {
+    match table.get(&id) {
+        None => {
+            table.insert(id, key.into_boxed_slice());
+            Ok(())
         }
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.map.get(key) {
-            return KeyId(id); // raced with another writer
+        Some(held) if **held == *key => Ok(()),
+        Some(held) => Err(SemiringError::KeyCollision {
+            id: id.0,
+            key: format!("{key:?}"),
+            held: format!("{held:?}"),
+        }),
+    }
+}
+
+/// Ids of `keys`, entering unseen keys into the table: one read lock for
+/// the keys already known, one write lock for the rest. A key with a NULL
+/// component is refused — NULL keys never join (SQL semantics) — and so is
+/// a key whose id another key holds.
+fn intern_keys(keys: Vec<Vec<KeyValue>>) -> Result<Vec<KeyId>> {
+    if let Some(key) = keys.iter().find(|key| key.contains(&KeyValue::Null)) {
+        return Err(SemiringError::NullKey(format!("{key:?}")));
+    }
+    let ids: Vec<KeyId> = keys.iter().map(|key| KeyId::of(key)).collect();
+    let unseen: Vec<(KeyId, Vec<KeyValue>)> = {
+        let table = key_table().read();
+        let mut unseen = Vec::new();
+        for (&id, key) in ids.iter().zip(keys) {
+            match table.get(&id) {
+                Some(held) if **held == *key => {}
+                _ => unseen.push((id, key)),
+            }
         }
-        let id = u32::try_from(inner.keys.len()).expect("interner overflow (2^32 keys)");
-        inner.keys.push(key.to_vec());
-        inner.map.insert(key.to_vec(), id);
-        KeyId(id)
+        unseen
+    };
+    if !unseen.is_empty() {
+        let mut table = key_table().write();
+        for (id, key) in unseen {
+            insert_key(&mut table, id, key)?;
+        }
     }
-
-    /// Look a key up without interning it.
-    pub fn lookup(&self, key: &[KeyValue]) -> Option<KeyId> {
-        self.inner.read().map.get(key).copied().map(KeyId)
-    }
-
-    /// Resolve an id back to its key (clones the key values).
-    pub fn resolve(&self, id: KeyId) -> Vec<KeyValue> {
-        self.inner.read().keys[id.0 as usize].clone()
-    }
-
-    /// Resolve many ids under a single read lock.
-    pub fn resolve_many(&self, ids: &[KeyId]) -> Vec<Vec<KeyValue>> {
-        let inner = self.inner.read();
-        ids.iter().map(|id| inner.keys[id.0 as usize].clone()).collect()
-    }
-
-    /// Number of interned keys.
-    pub fn len(&self) -> usize {
-        self.inner.read().keys.len()
-    }
-
-    /// True iff nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    Ok(ids)
 }
 
 /// Per-key covariance triples in arena layout: row `r` holds the triple of
@@ -149,7 +187,7 @@ impl KeyInterner {
 pub struct GroupedArena {
     /// Shared feature schema (one copy per sketch, not per key).
     schema: Arc<[String]>,
-    /// Sorted interned keys, one per row.
+    /// Sorted key ids, one per row.
     key_ids: Vec<KeyId>,
     /// Row counts, length `d`.
     c: Vec<f64>,
@@ -158,8 +196,6 @@ pub struct GroupedArena {
     /// Packed upper triangles of the symmetric per-key product sums,
     /// length `d·m(m+1)/2`, row-major `i ≤ j` per row.
     qp: Vec<f64>,
-    /// The key space the ids live in.
-    interner: Arc<KeyInterner>,
     /// `[Σ_r s[r] | Σ_r qp[r]]` summed over the rows in row order, filled
     /// on first use by [`GroupedArena::join_stats_into`] and dropped by
     /// every method that changes rows or their order (see
@@ -197,30 +233,27 @@ fn add_assign(acc: &mut [f64], x: &[f64]) {
 
 impl GroupedArena {
     /// Empty arena over a feature schema.
-    pub fn new(schema: Arc<[String]>, interner: Arc<KeyInterner>) -> Self {
+    pub fn new(schema: Arc<[String]>) -> Self {
         GroupedArena {
             schema,
             key_ids: Vec::new(),
             c: Vec::new(),
             s: Vec::new(),
             qp: Vec::new(),
-            interner,
             row_sums: OnceLock::new(),
         }
     }
 
     /// Build from `(key, triple)` pairs. Every triple must carry exactly
-    /// `features` (aligned if the order differs).
-    pub fn from_groups<I>(
-        features: &[String],
-        groups: I,
-        interner: &Arc<KeyInterner>,
-    ) -> Result<Self>
+    /// `features` (aligned if the order differs). Keys must be distinct and
+    /// free of NULL components.
+    pub fn from_groups<I>(features: &[String], groups: I) -> Result<Self>
     where
         I: IntoIterator<Item = (Vec<KeyValue>, CovarTriple)>,
     {
         let m = features.len();
-        let mut arena = GroupedArena::new(features.into(), Arc::clone(interner));
+        let mut arena = GroupedArena::new(features.into());
+        let mut keys = Vec::new();
         let frefs: Vec<&str> = features.iter().map(|s| s.as_str()).collect();
         for (key, triple) in groups {
             let triple = if triple.features == features { triple } else { triple.align(&frefs)? };
@@ -234,19 +267,18 @@ impl GroupedArena {
                     triple.q.len(),
                 )));
             }
-            arena.key_ids.push(interner.intern(&key));
+            keys.push(key);
             arena.c.push(triple.c);
             arena.s.extend_from_slice(&triple.s);
             pack_upper_row(&triple.q, m, &mut arena.qp);
         }
-        arena.sort_rows();
-        Ok(arena)
+        arena.key_rows(keys)
     }
 
     /// Build directly from parallel row slabs — the snapshot-rehydration
     /// path, which skips the per-key hash map and alignment work of
     /// [`GroupedArena::from_groups`]. `keys` may arrive in any order (rows
-    /// are re-sorted by interned id); `c`/`s` are row-major per key and
+    /// are re-sorted by id); `c`/`s` are row-major per key and
     /// `qp` carries the **packed** upper triangles ([`packed_len`] entries
     /// per key) — the same layout snapshots persist, so rehydration is a
     /// by-reference identity over the slab.
@@ -256,7 +288,6 @@ impl GroupedArena {
         c: Vec<f64>,
         s: Vec<f64>,
         qp: Vec<f64>,
-        interner: &Arc<KeyInterner>,
     ) -> Result<Self> {
         let d = keys.len();
         let m = features.len();
@@ -270,22 +301,28 @@ impl GroupedArena {
                 packed_len(m),
             )));
         }
-        let mut arena = GroupedArena {
+        let arena = GroupedArena {
             schema: features.into(),
-            key_ids: keys.iter().map(|k| interner.intern(k)).collect(),
+            key_ids: Vec::new(),
             c,
             s,
             qp,
-            interner: Arc::clone(interner),
             row_sums: OnceLock::new(),
         };
-        arena.sort_rows();
-        // Rows are unique by construction in `from_groups` (hash map); a
-        // slab source must uphold the same invariant or lookups shear.
-        if arena.key_ids.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SemiringError::InvalidArgument("duplicate keys in row slabs".into()));
+        arena.key_rows(keys)
+    }
+
+    /// Give the filled slabs their keys (one per row, in slab order) and
+    /// sort the rows by id. Refuses NULL, colliding and repeated keys: a
+    /// repeated key would shear every lookup.
+    fn key_rows(mut self, keys: Vec<Vec<KeyValue>>) -> Result<Self> {
+        self.key_ids = intern_keys(keys)?;
+        self.sort_rows();
+        if let Some(w) = self.key_ids.windows(2).find(|w| w[0] == w[1]) {
+            let key = key_table().read()[&w[0]].to_vec();
+            return Err(SemiringError::DuplicateKey(format!("{key:?}")));
         }
-        Ok(arena)
+        Ok(self)
     }
 
     /// Number of keys `d`.
@@ -308,12 +345,7 @@ impl GroupedArena {
         &self.schema
     }
 
-    /// The key space.
-    pub fn interner(&self) -> &Arc<KeyInterner> {
-        &self.interner
-    }
-
-    /// Sorted interned keys.
+    /// Sorted key ids, one per row.
     pub fn key_ids(&self) -> &[KeyId] {
         &self.key_ids
     }
@@ -339,20 +371,27 @@ impl GroupedArena {
 
     /// Resolve row `r`'s key.
     pub fn key_at(&self, r: usize) -> Vec<KeyValue> {
-        self.interner.resolve(self.key_ids[r])
+        key_table().read()[&self.key_ids[r]].to_vec()
+    }
+
+    /// Every row's key, in row order, resolved under one table read lock.
+    pub fn keys(&self) -> Vec<Vec<KeyValue>> {
+        let table = key_table().read();
+        self.key_ids.iter().map(|id| table[id].to_vec()).collect()
     }
 
     /// Row index of a key, if present.
     pub fn find(&self, key: &[KeyValue]) -> Option<usize> {
-        let id = self.interner.lookup(key)?;
-        self.key_ids.binary_search(&id).ok()
+        let id = KeyId::of(key);
+        let r = self.key_ids.binary_search(&id).ok()?;
+        // The row holds `key` unless `key` shares its hash and was never
+        // entered (the table refuses a second key under one id).
+        key_table().read().get(&id).is_some_and(|held| **held == *key).then_some(r)
     }
 
-    /// `(row, key)` pairs in key-sorted order, resolving every key exactly
-    /// once under one interner read lock (the canonical observable order).
+    /// `(row, key)` pairs in key-value order (the order a reader sees).
     pub fn sorted_keys(&self) -> Vec<(usize, Vec<KeyValue>)> {
-        let mut pairs: Vec<(usize, Vec<KeyValue>)> =
-            self.interner.resolve_many(&self.key_ids).into_iter().enumerate().collect();
+        let mut pairs: Vec<(usize, Vec<KeyValue>)> = self.keys().into_iter().enumerate().collect();
         pairs.sort_by(|a, b| a.1.cmp(&b.1));
         pairs
     }
@@ -362,9 +401,9 @@ impl GroupedArena {
         self.sorted_keys().into_iter().map(|(r, _)| r).collect()
     }
 
-    /// In-place edit of every row, visited in key-sorted order so that
-    /// stateful editors (noise injection) are reproducible regardless of
-    /// interner id assignment. Zero allocation per row. The `q` slice is
+    /// In-place edit of every row, visited in key-value order so that a
+    /// stateful editor (the privacy layer's noise walk) gives each key the
+    /// same draw in every process. Zero allocation per row. The `q` slice is
     /// the packed upper triangle — exactly one entry per *unordered*
     /// feature pair, in `i ≤ j` row-major order (the order the privacy
     /// layer's seeded noise walk draws in).
@@ -427,7 +466,6 @@ impl GroupedArena {
             c: self.c.clone(),
             s,
             qp,
-            interner: Arc::clone(&self.interner),
             row_sums: OnceLock::new(),
         }
     }
@@ -436,26 +474,6 @@ impl GroupedArena {
     pub fn renamed(&self, f: impl Fn(&str) -> String) -> GroupedArena {
         let mut out = self.clone();
         out.schema = self.schema.iter().map(|n| f(n)).collect();
-        out
-    }
-
-    /// Re-key into another interner (used when sketches cross stores).
-    /// Intentionally an *explicit* conversion: it interns this arena's keys
-    /// into `interner`, growing it — align sketches once (store adoption,
-    /// cache build), not inside read paths.
-    pub fn reinterned(&self, interner: &Arc<KeyInterner>) -> GroupedArena {
-        if Arc::ptr_eq(&self.interner, interner) {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.key_ids = self
-            .interner
-            .resolve_many(&self.key_ids)
-            .into_iter()
-            .map(|key| interner.intern(&key))
-            .collect();
-        out.interner = Arc::clone(interner);
-        out.sort_rows();
         out
     }
 
@@ -513,13 +531,6 @@ impl GroupedArena {
         s_acc: &mut Vec<f64>,
         q_acc: &mut Vec<f64>,
     ) -> (f64, usize) {
-        let other_re;
-        let other = if Arc::ptr_eq(&self.interner, &other.interner) {
-            other
-        } else {
-            other_re = other.reinterned(&self.interner);
-            &other_re
-        };
         let ma = self.num_features();
         let mb = other.num_features();
         let m = ma + mb;
@@ -630,17 +641,10 @@ impl GroupedArena {
     /// composed arena over the concatenated feature space (the multi-join
     /// threading step). Feature disjointness is the caller's contract.
     pub fn compose(&self, other: &GroupedArena) -> GroupedArena {
-        let other_re;
-        let other = if Arc::ptr_eq(&self.interner, &other.interner) {
-            other
-        } else {
-            other_re = other.reinterned(&self.interner);
-            &other_re
-        };
         let ma = self.num_features();
         let schema: Arc<[String]> =
             self.schema.iter().chain(other.schema.iter()).cloned().collect();
-        let mut out = GroupedArena::new(schema, Arc::clone(&self.interner));
+        let mut out = GroupedArena::new(schema);
 
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.key_ids.len() && j < other.key_ids.len() {
@@ -691,21 +695,16 @@ impl GroupedArena {
                 right: other.schema.to_vec(),
             });
         }
-        let other_re;
-        let other = if Arc::ptr_eq(&self.interner, &other.interner) {
-            other
-        } else {
-            other_re = other.reinterned(&self.interner);
-            &other_re
-        };
         self.row_sums.take();
         let m = self.num_features();
         let p = packed_len(m);
-        let mut appended = false;
+        // Appended rows sit unsorted past `d` until the final sort; only
+        // the sorted prefix is searched (`other`'s keys are distinct).
+        let d = self.num_keys();
         for j in 0..other.num_keys() {
             let id = other.key_ids[j];
             let (cb, sb, qb) = other.row(j);
-            match self.key_ids.binary_search(&id) {
+            match self.key_ids[..d].binary_search(&id) {
                 Ok(r) => {
                     self.c[r] += cb;
                     add_assign(&mut self.s[r * m..(r + 1) * m], sb);
@@ -716,11 +715,10 @@ impl GroupedArena {
                     self.c.push(cb);
                     self.s.extend_from_slice(sb);
                     self.qp.extend_from_slice(qb);
-                    appended = true;
                 }
             }
         }
-        if appended {
+        if self.num_keys() > d {
             self.sort_rows();
         }
         Ok(())
@@ -785,17 +783,11 @@ impl GroupedArena {
 
 impl PartialEq for GroupedArena {
     fn eq(&self, other: &Self) -> bool {
-        if self.schema != other.schema || self.num_keys() != other.num_keys() {
-            return false;
-        }
-        if Arc::ptr_eq(&self.interner, &other.interner) {
-            self.key_ids == other.key_ids
-                && self.c == other.c
-                && self.s == other.s
-                && self.qp == other.qp
-        } else {
-            self.sorted_pairs() == other.sorted_pairs()
-        }
+        self.schema == other.schema
+            && self.key_ids == other.key_ids
+            && self.c == other.c
+            && self.s == other.s
+            && self.qp == other.qp
     }
 }
 
@@ -818,13 +810,6 @@ mod tests {
         s_acc: &mut Vec<f64>,
         q_acc: &mut Vec<f64>,
     ) -> (f64, usize) {
-        let b_re;
-        let b = if Arc::ptr_eq(&a.interner, &b.interner) {
-            b
-        } else {
-            b_re = b.reinterned(&a.interner);
-            &b_re
-        };
         let ma = a.num_features();
         let mb = b.num_features();
         s_acc.clear();
@@ -937,7 +922,6 @@ mod tests {
         m: usize,
         keys: &[i64],
         counts: Counts,
-        interner: &Arc<KeyInterner>,
     ) -> GroupedArena {
         let d = keys.len();
         let features = (0..m).map(|i| format!("{prefix}{i}")).collect();
@@ -958,7 +942,7 @@ mod tests {
         let s = (0..d * m).map(|_| draw.value()).collect();
         let qp = (0..d * packed_len(m)).map(|_| draw.value()).collect();
         let keys = keys.iter().map(|&v| k(v)).collect();
-        GroupedArena::from_parts(features, keys, c, s, qp, interner).unwrap()
+        GroupedArena::from_parts(features, keys, c, s, qp).unwrap()
     }
 
     proptest! {
@@ -966,11 +950,11 @@ mod tests {
         fn block_kernel_matches_interleaved_reference_bit_for_bit(
             seed in any::<u64>(),
             dims in (1usize..=6, 1usize..=6),
-            shape in (0u8..7, 0u8..3, any::<bool>()),
+            shape in (0u8..7, 0u8..3),
         ) {
             let mut draw = Draw(seed);
             let (ma, mb) = dims;
-            let (overlap, counts, own_interner) = shape;
+            let (overlap, counts) = shape;
             let d = 1 + draw.below(12) as i64;
             let base = draw.below(1000) as i64 * 100;
             let a_keys: Vec<i64> = (0..d).map(|i| base + 2 * i).collect();
@@ -991,12 +975,9 @@ mod tests {
                 _ => (a_keys, Vec::new()),
             };
             let counts = [Counts::Unit, Counts::Random, Counts::OneOff][counts as usize];
-            let shared = KeyInterner::new();
-            // A separate key space interns b's keys first, so ids disagree.
-            let b_interner = if own_interner { KeyInterner::new() } else { Arc::clone(&shared) };
-            let b = drawn_arena(&mut draw, "b", mb, &b_keys, counts, &b_interner);
-            let a = drawn_arena(&mut draw, "a", ma, &a_keys, Counts::Random, &shared);
-            let what = format!("ma={ma} mb={mb} overlap={overlap} {counts:?} own={own_interner}");
+            let b = drawn_arena(&mut draw, "b", mb, &b_keys, counts);
+            let a = drawn_arena(&mut draw, "a", ma, &a_keys, Counts::Random);
+            let what = format!("ma={ma} mb={mb} overlap={overlap} {counts:?}");
             assert_kernels_agree(&a, &b, &what);
             // The owned-output wrapper reads the same accumulators.
             let (c, s, q, matched) = a.join_stats(&b);
@@ -1013,24 +994,23 @@ mod tests {
     #[test]
     fn row_sums_are_dropped_by_every_row_mutation() {
         let mut draw = Draw(7);
-        let interner = KeyInterner::new();
         let keys: Vec<i64> = (0..9).collect();
-        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random, &interner);
-        let b = drawn_arena(&mut draw, "b", 2, &keys, Counts::Unit, &interner);
+        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random);
+        let b = drawn_arena(&mut draw, "b", 2, &keys, Counts::Unit);
         assert_kernels_agree(&a, &b, "fresh");
         assert!(a.row_sums.get().is_some(), "unit full coverage takes the shared block");
 
         // merge_add on existing keys changes row values in place …
-        let more = drawn_arena(&mut draw, "a", 3, &keys[2..5], Counts::Random, &interner);
+        let more = drawn_arena(&mut draw, "a", 3, &keys[2..5], Counts::Random);
         a.merge_add(&more).unwrap();
         assert!(a.row_sums.get().is_none());
         assert_kernels_agree(&a, &b, "after in-place merge_add");
         // … and on new keys appends rows (b no longer covers a).
-        let extra = drawn_arena(&mut draw, "a", 3, &[40, 41], Counts::Random, &interner);
+        let extra = drawn_arena(&mut draw, "a", 3, &[40, 41], Counts::Random);
         a.merge_add(&extra).unwrap();
         assert_kernels_agree(&a, &b, "after appending merge_add");
 
-        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random, &interner);
+        let mut a = drawn_arena(&mut draw, "a", 3, &keys, Counts::Random);
         assert_kernels_agree(&a, &b, "fresh again");
         a.for_each_row_mut(|c, s, q| {
             *c += 1.0;
@@ -1040,15 +1020,6 @@ mod tests {
         assert!(a.row_sums.get().is_none());
         assert_kernels_agree(&a, &b, "after for_each_row_mut");
 
-        // `reinterned` starts from a clone, which carries the sums, and
-        // then re-orders the rows: the re-sort must drop them.
-        let reversed = KeyInterner::new();
-        for key in keys.iter().rev() {
-            reversed.intern(&k(*key));
-        }
-        let a_re = a.reinterned(&reversed);
-        assert_ne!(a_re.key_at(0), a.key_at(0), "row order really changed");
-        assert_kernels_agree(&a_re, &b.reinterned(&reversed), "after reinterned");
         // Renaming keeps the rows, so it may keep the sums.
         assert_kernels_agree(&a.renamed(|n| format!("r.{n}")), &b, "after renamed");
     }
@@ -1066,22 +1037,88 @@ mod tests {
         GroupedArena::from_groups(
             &feats,
             groups.iter().map(|(key, rows)| (k(*key), triple(features, rows))),
-            KeyInterner::global(),
         )
         .unwrap()
     }
 
     #[test]
-    fn interner_is_stable_and_shared() {
-        let interner = KeyInterner::new();
-        let a = interner.intern(&k(1));
-        let b = interner.intern(&k(2));
-        assert_ne!(a, b);
-        assert_eq!(interner.intern(&k(1)), a);
-        assert_eq!(interner.resolve(a), k(1));
-        assert_eq!(interner.lookup(&k(2)), Some(b));
-        assert_eq!(interner.lookup(&k(99)), None);
-        assert_eq!(interner.len(), 2);
+    fn key_ids_are_pinned_content_hashes() {
+        // Any change to these values changes the row order — and the last
+        // bits of every join statistic — of every arena: a deliberate break.
+        let s = |v: &str| KeyValue::Str(v.into());
+        let vectors: [(Vec<KeyValue>, u64); 6] = [
+            (k(0), 0x5881_3ece_98dc_09d3),
+            (k(-7), 0x6365_64db_d152_6b61),
+            (vec![s("")], 0x5dad_7ffc_ad75_96d4),
+            (vec![s("brooklyn heights")], 0x3509_eb99_e2dc_4eb6),
+            (vec![KeyValue::Int(3), s("sf")], 0xf6b4_92f1_9db0_35a3),
+            (vec![s("sf"), KeyValue::Int(3)], 0x79b5_41cf_e370_07b1),
+        ];
+        for (key, want) in &vectors {
+            assert_eq!(KeyId::of(key), KeyId(*want), "{key:?} -> {:#018x}", KeyId::of(key).0);
+        }
+    }
+
+    #[test]
+    fn key_ids_do_not_depend_on_insertion_order() {
+        let forward: Vec<i64> = (900_000..900_050).collect();
+        let backward: Vec<i64> = forward.iter().rev().copied().collect();
+        let arena = |keys: &[i64]| {
+            let feats = ["x".to_string()];
+            let groups = keys.iter().map(|&v| (k(v), triple(&["x"], &[&[v as f64]])));
+            GroupedArena::from_groups(&feats, groups).unwrap()
+        };
+        let (a, b) = (arena(&backward), arena(&forward));
+        assert_eq!(a.key_ids(), b.key_ids());
+        assert_eq!(a, b);
+        let direct: Vec<KeyId> = forward.iter().map(|&v| KeyId::of(&k(v))).collect();
+        assert!(direct.iter().all(|id| a.key_ids().binary_search(id).is_ok()));
+        assert_eq!(a.key_at(a.find(&k(900_007)).unwrap()), k(900_007));
+    }
+
+    #[test]
+    fn a_second_key_under_one_id_is_refused() {
+        // Forge a collision: enter a squatter under the id of a key no other
+        // test uses, then build with that key.
+        let victim = vec![KeyValue::Str("collision-victim".into())];
+        let squatter = vec![KeyValue::Str("collision-squatter".into())];
+        let id = KeyId::of(&victim);
+        insert_key(&mut key_table().write(), id, squatter.clone()).unwrap();
+        assert!(insert_key(&mut key_table().write(), id, squatter).is_ok(), "same key: no-op");
+
+        let feats = ["x".to_string()];
+        let err =
+            GroupedArena::from_groups(&feats, vec![(victim.clone(), triple(&["x"], &[&[1.0]]))])
+                .unwrap_err();
+        assert!(
+            matches!(err, SemiringError::KeyCollision { id: got, .. } if got == id.0),
+            "{err:?}"
+        );
+        let err = GroupedArena::from_parts(
+            feats.to_vec(),
+            vec![victim.clone()],
+            vec![1.0],
+            vec![1.0],
+            vec![1.0],
+        )
+        .unwrap_err();
+        assert!(matches!(err, SemiringError::KeyCollision { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn null_and_repeated_keys_are_refused() {
+        let feats = ["x".to_string()];
+        let one = || triple(&["x"], &[&[1.0]]);
+        let null = vec![KeyValue::Int(1), KeyValue::Null];
+        let err = GroupedArena::from_groups(&feats, vec![(null.clone(), one())]).unwrap_err();
+        assert!(matches!(err, SemiringError::NullKey(_)), "{err:?}");
+        let err =
+            GroupedArena::from_parts(feats.to_vec(), vec![null], vec![1.0], vec![1.0], vec![1.0])
+                .unwrap_err();
+        assert!(matches!(err, SemiringError::NullKey(_)), "{err:?}");
+        let err =
+            GroupedArena::from_groups(&feats, vec![(k(4), one()), (k(4), one())]).unwrap_err();
+        assert!(matches!(err, SemiringError::DuplicateKey(_)), "{err:?}");
     }
 
     #[test]
@@ -1158,17 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn reintern_preserves_content_across_interners() {
-        let a = arena_of(&["x"], &[(5, &[&[1.0]]), (6, &[&[2.0]])]);
-        let fresh = KeyInterner::new();
-        let b = a.reinterned(&fresh);
-        assert_eq!(a, b); // PartialEq resolves across interners
-        let (c, _, _, matched) = a.join_stats(&b.renamed(|n| format!("o.{n}")));
-        assert_eq!(matched, 2);
-        assert_eq!(c, 2.0); // per-key count products: 1·1 + 1·1
-    }
-
-    #[test]
     fn packed_indexing_roundtrips() {
         for m in 0..6 {
             assert_eq!(packed_len(m), (0..m).map(|i| m - i).sum::<usize>());
@@ -1217,7 +1243,6 @@ mod tests {
             c.clone(),
             s.clone(),
             qp.clone(),
-            KeyInterner::global(),
         )
         .unwrap();
         assert_eq!(ok, a);
@@ -1230,15 +1255,7 @@ mod tests {
             (keys.clone(), c[..1].to_vec(), s.clone(), qp.clone()),
             (keys.clone(), c.clone(), s[..1].to_vec(), qp.clone()),
         ] {
-            let err = GroupedArena::from_parts(
-                features.clone(),
-                keys2,
-                c2,
-                s2,
-                q2,
-                KeyInterner::global(),
-            )
-            .unwrap_err();
+            let err = GroupedArena::from_parts(features.clone(), keys2, c2, s2, q2).unwrap_err();
             assert!(matches!(err, SemiringError::InvalidArgument(_)), "{err:?}");
         }
     }
@@ -1249,21 +1266,11 @@ mod tests {
         // match the feature count surface as typed errors.
         let bad_s =
             CovarTriple { features: vec!["x".into()], c: 1.0, s: vec![1.0, 2.0], q: vec![1.0] };
-        let err = GroupedArena::from_groups(
-            &["x".to_string()],
-            vec![(k(1), bad_s)],
-            KeyInterner::global(),
-        )
-        .unwrap_err();
+        let err = GroupedArena::from_groups(&["x".to_string()], vec![(k(1), bad_s)]).unwrap_err();
         assert!(matches!(err, SemiringError::InvalidArgument(_)), "{err:?}");
         let bad_q =
             CovarTriple { features: vec!["x".into()], c: 1.0, s: vec![1.0], q: vec![1.0, 2.0] };
-        let err = GroupedArena::from_groups(
-            &["x".to_string()],
-            vec![(k(1), bad_q)],
-            KeyInterner::global(),
-        )
-        .unwrap_err();
+        let err = GroupedArena::from_groups(&["x".to_string()], vec![(k(1), bad_q)]).unwrap_err();
         assert!(matches!(err, SemiringError::InvalidArgument(_)), "{err:?}");
     }
 

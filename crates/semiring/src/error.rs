@@ -23,6 +23,20 @@ pub enum SemiringError {
     Relation(String),
     /// Invalid argument (e.g. empty feature list where one is required).
     InvalidArgument(String),
+    /// A join key with a NULL component (NULL keys never join).
+    NullKey(String),
+    /// A join key listed twice in one sketch.
+    DuplicateKey(String),
+    /// Two distinct join keys hash to one [`KeyId`](crate::KeyId); the key
+    /// entered second is refused.
+    KeyCollision {
+        /// The shared id.
+        id: u64,
+        /// The refused key.
+        key: String,
+        /// The key that holds the id.
+        held: String,
+    },
 }
 
 impl fmt::Display for SemiringError {
@@ -37,6 +51,11 @@ impl fmt::Display for SemiringError {
             SemiringError::FeatureNotFound(name) => write!(f, "feature not found: {name}"),
             SemiringError::Relation(msg) => write!(f, "relation error: {msg}"),
             SemiringError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            SemiringError::NullKey(key) => write!(f, "join key {key} has a NULL component"),
+            SemiringError::DuplicateKey(key) => write!(f, "join key {key} is listed twice"),
+            SemiringError::KeyCollision { id, key, held } => {
+                write!(f, "join key {key} hashes to id {id:#018x}, which {held} holds")
+            }
         }
     }
 }

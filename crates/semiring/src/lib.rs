@@ -52,9 +52,7 @@ pub mod error;
 pub mod pushdown;
 
 pub use algebra::{CountSemiring, Semiring, SumSemiring};
-pub use arena::{
-    pack_upper_row, packed_idx, packed_len, unpack_upper_row, GroupedArena, KeyId, KeyInterner,
-};
+pub use arena::{pack_upper_row, packed_idx, packed_len, unpack_upper_row, GroupedArena, KeyId};
 pub use compute::{grouped_triples, triple_of, GroupedTriples};
 pub use covar::{CovarTriple, LrSystem};
 pub use error::{Result, SemiringError};

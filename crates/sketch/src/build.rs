@@ -149,7 +149,7 @@ pub fn build_sketch(relation: &Relation, config: &SketchConfig) -> Result<Datase
         if groups.len() > config.max_keys {
             continue;
         }
-        let sketch = KeyedSketch::new(key.clone(), groups);
+        let sketch = KeyedSketch::try_new(key.clone(), groups)?;
         let sketch = if config.qualify_features {
             // Schema-level rename: O(m) on the shared schema, not O(d·m)
             // per-triple clones.

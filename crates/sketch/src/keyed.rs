@@ -2,17 +2,17 @@
 //!
 //! Since the arena refactor a `KeyedSketch` is a thin wrapper over
 //! [`GroupedArena`]: one shared feature schema plus contiguous `c`/`s`/`q`
-//! slabs indexed by interned key ids. The JSON wire format is unchanged —
+//! slabs indexed by key ids. The JSON wire format is unchanged —
 //! a header followed by *key-sorted* `(key, triple)` pairs — and is written
 //! **by reference** (borrowed reprs over the slabs; the old path cloned
 //! every key and triple into an owned `PairRepr` first).
 
 use mileena_relation::KeyValue;
-use mileena_semiring::{CovarTriple, GroupedArena, GroupedTriples, KeyInterner};
+use mileena_semiring::{CovarTriple, GroupedArena, GroupedTriples};
 use serde::de::{Deserializer, SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
 
 /// The `γ_j(R)` sketch: one covariance triple per distinct join-key value,
 /// stored in arena layout.
@@ -27,45 +27,25 @@ pub struct KeyedSketch {
 }
 
 impl KeyedSketch {
-    /// Construct from a hash-map of per-key triples (legacy construction
-    /// path; triples must share one feature set). Keys land in the
-    /// process-global interner.
-    pub fn new(key_column: impl Into<String>, groups: GroupedTriples) -> Self {
-        Self::with_interner(key_column, groups, KeyInterner::global())
-    }
-
-    /// Construct from per-key triples against an explicit key space.
+    /// Construct from a hash-map of per-key triples.
     ///
-    /// Panics if the triples do not share one feature set — in-tree
-    /// construction always satisfies that; untrusted inputs go through
-    /// [`KeyedSketch::try_new`].
-    pub fn with_interner(
-        key_column: impl Into<String>,
-        groups: GroupedTriples,
-        interner: &Arc<KeyInterner>,
-    ) -> Self {
-        Self::try_with_interner(key_column, groups, interner)
-            .expect("KeyedSketch::new: groups must share one feature set")
+    /// Panics if the triples do not share one feature set or a key has a
+    /// NULL component — in-tree construction always satisfies that;
+    /// untrusted inputs go through [`KeyedSketch::try_new`].
+    pub fn new(key_column: impl Into<String>, groups: GroupedTriples) -> Self {
+        Self::try_new(key_column, groups).expect("KeyedSketch::new: malformed groups")
     }
 
     /// Fallible construction from per-key triples (wire boundary: feature
-    /// sets may disagree or slab widths may be malformed in hostile input).
+    /// sets may disagree, slab widths may be malformed and keys may hold
+    /// NULLs in hostile input).
     pub fn try_new(
         key_column: impl Into<String>,
         groups: GroupedTriples,
     ) -> mileena_semiring::Result<Self> {
-        Self::try_with_interner(key_column, groups, KeyInterner::global())
-    }
-
-    /// Fallible construction against an explicit key space.
-    pub fn try_with_interner(
-        key_column: impl Into<String>,
-        groups: GroupedTriples,
-        interner: &Arc<KeyInterner>,
-    ) -> mileena_semiring::Result<Self> {
         let features: Vec<String> =
             groups.values().next().map(|t| t.features.clone()).unwrap_or_default();
-        let arena = GroupedArena::from_groups(&features, groups, interner)?;
+        let arena = GroupedArena::from_groups(&features, groups)?;
         Ok(KeyedSketch { key_column: key_column.into(), arena })
     }
 
@@ -173,7 +153,7 @@ impl Serialize for KeyedSketch {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // (key_column, [pairs...]) as a 1 + n sequence keeps the format flat.
         let arena = &self.arena;
-        // One interner pass resolves every key exactly once.
+        // One table pass resolves every key exactly once.
         let sorted = arena.sorted_keys();
         let mut seq = serializer.serialize_seq(Some(sorted.len() + 1))?;
         seq.serialize_element(&SketchRepr { key_column: self.key_column.clone() })?;
@@ -206,10 +186,20 @@ impl<'de> Deserialize<'de> for KeyedSketch {
                     seq.next_element()?.ok_or_else(|| A::Error::custom("missing sketch header"))?;
                 let mut groups: GroupedTriples = Default::default();
                 while let Some(p) = seq.next_element::<PairRepr>()? {
-                    groups.insert(p.key, p.triple);
+                    match groups.entry(p.key) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(p.triple);
+                        }
+                        Entry::Occupied(slot) => {
+                            let key = format!("{:?}", slot.key());
+                            let e = mileena_semiring::SemiringError::DuplicateKey(key);
+                            return Err(A::Error::custom(format!("malformed keyed sketch: {e}")));
+                        }
+                    }
                 }
-                // Wire input is untrusted: mismatched feature sets or slab
-                // widths must surface as a serde error, not a panic.
+                // Wire input is untrusted: mismatched feature sets, slab
+                // widths or NULL keys must surface as a serde error, not a
+                // panic.
                 KeyedSketch::try_new(header.key_column, groups)
                     .map_err(|e| A::Error::custom(format!("malformed keyed sketch: {e}")))
             }
@@ -266,6 +256,25 @@ mod tests {
         let json = r#"[{"key_column":"k"},
             {"key":[{"Int":1}],"triple":{"features":["x"],"c":1.0,"s":[2.0,3.0],"q":[4.0]}}]"#;
         assert!(serde_json::from_str::<KeyedSketch>(json).is_err());
+    }
+
+    #[test]
+    fn malformed_wire_keys_are_refused() {
+        // A key listed twice: refused, not last-one-wins.
+        let json = r#"[{"key_column":"k"},
+            {"key":[{"Int":1}],"triple":{"features":["x"],"c":1.0,"s":[2.0],"q":[4.0]}},
+            {"key":[{"Int":1}],"triple":{"features":["x"],"c":1.0,"s":[3.0],"q":[9.0]}}]"#;
+        let err = serde_json::from_str::<KeyedSketch>(json).unwrap_err().to_string();
+        assert!(err.contains("listed twice"), "{err}");
+        // A NULL key component: NULL keys never join, so none may arrive.
+        for key in [r#"["Null"]"#, r#"[{"Int":1},"Null"]"#] {
+            let json = format!(
+                r#"[{{"key_column":"k"}},
+                {{"key":{key},"triple":{{"features":["x"],"c":1.0,"s":[2.0],"q":[4.0]}}}}]"#
+            );
+            let err = serde_json::from_str::<KeyedSketch>(&json).unwrap_err().to_string();
+            assert!(err.contains("NULL"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -4,24 +4,26 @@
 use crate::build::DatasetSketch;
 use crate::error::{Result, SketchError};
 use mileena_relation::{DatasetId, DatasetInterner, FxHashMap};
-use mileena_semiring::KeyInterner;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Builder for a lazily-hydrated sketch. Invoked with `background = true`
 /// when the hydration was driven by a bulk drain (checkpoint, background
-/// hydrator) rather than an evaluation touch. Concurrent first touches may
-/// invoke the builder more than once; the first finished build wins the
-/// slot, so the builder must be deterministic (same bytes every call).
+/// hydrator) rather than an evaluation touch. A failed build leaves the
+/// builder in place for the next touch to retry; the first successful one
+/// fills the slot and drops the builder, releasing whatever it holds (a
+/// snapshot payload, say).
 pub type LazySketchBuilder =
     Box<dyn Fn(bool) -> std::result::Result<DatasetSketch, String> + Send + Sync>;
 
 /// One lazily-hydrating slot: the builder plus the once-filled cell.
 struct LazySlot {
     cell: OnceLock<Arc<DatasetSketch>>,
-    build: LazySketchBuilder,
+    /// `None` once the cell is filled. Builds run under this lock, one at a
+    /// time: a touch that waited finds the cell filled.
+    build: Mutex<Option<LazySketchBuilder>>,
     /// Whether this slot has been counted out of the "unhydrated" pool
     /// (hydrated, removed, or replaced) — keeps the hydration observer
     /// exactly-once per slot under races.
@@ -71,18 +73,13 @@ struct StoreInner {
 /// deterministic. Cloning the store is cheap (shared `Arc`), matching the
 /// multi-requester usage pattern: many concurrent searches over one corpus.
 ///
-/// Every store owns a [`KeyInterner`] — the key space its sketches' arenas
-/// index into. Registration re-interns foreign sketches so that within one
-/// store every join probe is a `u32` id comparison, never a `Vec<KeyValue>`
-/// hash. The default store shares the process-global interner, which keeps
-/// requester-built sketches join-compatible with store candidates without
-/// any re-interning. Dataset ids come from the (by default process-global)
-/// [`DatasetInterner`], so a discovery index built independently hands out
-/// ids this store resolves directly.
+/// Sketches register as built: join-key ids are content hashes, valid in
+/// every store and every process. Dataset ids come from the
+/// (by default process-global) [`DatasetInterner`], so a discovery index
+/// built independently hands out ids this store resolves directly.
 #[derive(Debug, Clone)]
 pub struct SketchStore {
     inner: Arc<RwLock<StoreInner>>,
-    interner: Arc<KeyInterner>,
     dataset_ids: Arc<DatasetInterner>,
     /// Set at most once per store family (clones and frozen snapshots
     /// share it); fired once per pending slot leaving the unhydrated pool.
@@ -91,12 +88,7 @@ pub struct SketchStore {
 
 impl Default for SketchStore {
     fn default() -> Self {
-        SketchStore {
-            inner: Arc::default(),
-            interner: Arc::clone(KeyInterner::global()),
-            dataset_ids: Arc::clone(DatasetInterner::global()),
-            on_hydrate: Arc::default(),
-        }
+        Self::with_dataset_interner(Arc::clone(DatasetInterner::global()))
     }
 }
 
@@ -106,27 +98,14 @@ impl SketchStore {
         Self::default()
     }
 
-    /// New empty store with an isolated key space (multi-tenant platforms
-    /// that must not share key-id assignment across corpora). Dataset
-    /// identity stays on the process-global interner; see
-    /// [`SketchStore::with_interners`] to isolate that too.
-    pub fn with_interner(interner: Arc<KeyInterner>) -> Self {
-        SketchStore { interner, ..Self::default() }
-    }
-
-    /// New empty store with isolated key **and** dataset-identity spaces.
-    /// The dataset interner must be shared with the discovery index that
+    /// New empty store with an isolated dataset-identity space. The
+    /// dataset interner must be shared with the discovery index that
     /// serves this store's candidates (`DiscoveryIndex::with_interner`):
     /// `DatasetId`s are untagged `u32` handles, so an id minted by a
     /// foreign interner would silently resolve to a different dataset
     /// here.
-    pub fn with_interners(keys: Arc<KeyInterner>, datasets: Arc<DatasetInterner>) -> Self {
-        SketchStore {
-            inner: Arc::default(),
-            interner: keys,
-            dataset_ids: datasets,
-            on_hydrate: Arc::default(),
-        }
+    pub fn with_dataset_interner(datasets: Arc<DatasetInterner>) -> Self {
+        SketchStore { inner: Arc::default(), dataset_ids: datasets, on_hydrate: Arc::default() }
     }
 
     /// Install the hydration observer (at most one per store family —
@@ -141,11 +120,6 @@ impl SketchStore {
         if let Some(hook) = self.on_hydrate.get() {
             (hook.0)(background);
         }
-    }
-
-    /// The store's key space.
-    pub fn interner(&self) -> &Arc<KeyInterner> {
-        &self.interner
     }
 
     /// The store's dataset-identity space.
@@ -166,38 +140,22 @@ impl SketchStore {
         self.dataset_ids.name(id)
     }
 
-    /// A frozen snapshot of this store: the same sketches (shared `Arc`s)
-    /// on the same key space, but detached from any later `register` /
-    /// `replace` / `remove` — the consistent corpus view one search session
-    /// runs against while other requesters and providers keep mutating the
-    /// live store. O(n) `Arc` clones, no sketch data is copied.
+    /// A frozen snapshot of this store: the same sketches (shared `Arc`s),
+    /// but detached from any later `register` / `replace` / `remove` — the
+    /// consistent corpus view one search session runs against while other
+    /// requesters and providers keep mutating the live store. O(n) `Arc`
+    /// clones, no sketch data is copied.
     pub fn frozen(&self) -> SketchStore {
         SketchStore {
             inner: Arc::new(RwLock::new(self.inner.read().clone())),
-            interner: Arc::clone(&self.interner),
             dataset_ids: Arc::clone(&self.dataset_ids),
             on_hydrate: Arc::clone(&self.on_hydrate),
         }
     }
 
-    /// Bring a sketch onto this store's key space (no-op when it already
-    /// is; an O(d) id remap otherwise).
-    fn adopt(&self, mut sketch: DatasetSketch) -> DatasetSketch {
-        for keyed in &mut sketch.keyed {
-            if !Arc::ptr_eq(keyed.arena().interner(), &self.interner) {
-                *keyed = crate::keyed::KeyedSketch::from_arena(
-                    keyed.key_column.clone(),
-                    keyed.arena().reinterned(&self.interner),
-                );
-            }
-        }
-        sketch
-    }
-
     /// Register a sketch; rejects duplicates (privacy budgets are accounted
     /// per upload, so silent replacement would be unsound).
     pub fn register(&self, sketch: DatasetSketch) -> Result<()> {
-        let sketch = self.adopt(sketch);
         let id = self.dataset_ids.intern(&sketch.name);
         let mut inner = self.inner.write();
         if inner.by_name.contains_key(&sketch.name) {
@@ -226,7 +184,7 @@ impl SketchStore {
         }
         let slot = Slot::Pending(Arc::new(LazySlot {
             cell: OnceLock::new(),
-            build,
+            build: Mutex::new(Some(build)),
             counted: AtomicBool::new(false),
         }));
         inner.by_name.insert(name.to_string(), slot.clone());
@@ -234,18 +192,26 @@ impl SketchStore {
         Ok(())
     }
 
-    /// Materialize a pending slot (idempotent; first finished build wins).
+    /// Materialize a pending slot (idempotent; the first successful build
+    /// fills the cell and drops the builder).
     fn hydrate(&self, lazy: &Arc<LazySlot>, background: bool) -> Result<Arc<DatasetSketch>> {
         if let Some(s) = lazy.cell.get() {
             return Ok(Arc::clone(s));
         }
-        let built = (lazy.build)(background)
-            .map_err(|e| SketchError::Serde(format!("lazy hydration: {e}")))?;
-        let built = Arc::new(self.adopt(built));
-        if lazy.cell.set(built).is_ok() && !lazy.counted.swap(true, Ordering::SeqCst) {
+        let mut build = lazy.build.lock();
+        if let Some(s) = lazy.cell.get() {
+            return Ok(Arc::clone(s)); // filled while this touch waited
+        }
+        let builder = build.as_ref().expect("an unfilled slot keeps its builder");
+        let built =
+            builder(background).map_err(|e| SketchError::Serde(format!("lazy hydration: {e}")))?;
+        let built = Arc::clone(lazy.cell.get_or_init(|| Arc::new(built)));
+        *build = None;
+        drop(build);
+        if !lazy.counted.swap(true, Ordering::SeqCst) {
             self.fire_hook(background);
         }
-        Ok(Arc::clone(lazy.cell.get().expect("cell filled above")))
+        Ok(built)
     }
 
     /// Resolve a slot to its sketch, hydrating a pending one.
@@ -309,7 +275,6 @@ impl SketchStore {
     /// A pending predecessor that never hydrated yields `None` (its bytes
     /// were never materialized; rollback re-registers from the journal).
     pub fn replace(&self, sketch: DatasetSketch) -> Option<Arc<DatasetSketch>> {
-        let sketch = self.adopt(sketch);
         let id = self.dataset_ids.intern(&sketch.name);
         let mut inner = self.inner.write();
         let name = sketch.name.clone();
@@ -484,24 +449,8 @@ mod tests {
         assert_eq!(snap.names(), vec!["a"], "snapshot keeps the registration-time view");
         assert_eq!(store.names(), vec!["b"]);
         assert!(snap.contains_id(id_a), "id access is snapshotted too");
-        // Shared key space and shared sketch allocations.
-        assert!(Arc::ptr_eq(snap.interner(), store.interner()));
+        // Shared dataset-identity space and shared sketch allocations.
         assert!(Arc::ptr_eq(snap.dataset_interner(), store.dataset_interner()));
-    }
-
-    #[test]
-    fn isolated_interner_adopts_foreign_sketches() {
-        use mileena_semiring::KeyInterner;
-        let store = SketchStore::with_interner(KeyInterner::new());
-        // Sketches built outside the store live on the global interner.
-        store.register(sketch("a")).unwrap();
-        let adopted = store.get("a").unwrap();
-        for keyed in &adopted.keyed {
-            assert!(std::sync::Arc::ptr_eq(keyed.arena().interner(), store.interner()));
-        }
-        // Content is unchanged by adoption.
-        let original = sketch("a");
-        assert_eq!(adopted.keyed[0].sorted_pairs(), original.keyed[0].sorted_pairs());
     }
 
     fn lazy(name: &str, builds: &Arc<std::sync::atomic::AtomicUsize>) -> LazySketchBuilder {
@@ -547,6 +496,28 @@ mod tests {
         // Duplicate registration is still rejected against a lazy slot.
         assert!(store.register(sketch("lz")).is_err());
         assert!(store.register_lazy("lz", lazy("lz", &builds)).is_err());
+    }
+
+    #[test]
+    fn hydrated_slot_releases_what_its_builder_held() {
+        // A snapshot's lazy builders each hold the whole payload: once a
+        // slot fills, its builder — and its share of the payload — must go.
+        let store = SketchStore::new();
+        let payload = Arc::new(vec![0u8; 1 << 16]);
+        let held = Arc::downgrade(&payload);
+        store
+            .register_lazy(
+                "held",
+                Box::new(move |_| {
+                    let _ = payload.len();
+                    Ok(sketch("held"))
+                }),
+            )
+            .unwrap();
+        assert!(held.upgrade().is_some(), "an unhydrated slot keeps its builder");
+        store.get("held").unwrap();
+        assert!(held.upgrade().is_none(), "the filled slot still holds the payload");
+        assert_eq!(store.get("held").unwrap().name, "held");
     }
 
     #[test]
@@ -657,7 +628,7 @@ mod tests {
         });
         assert_eq!(store.unhydrated(), 0);
         assert_eq!(hydrations.load(Ordering::SeqCst), 8, "observer fires once per slot");
-        // Builders may race, but every reader of a given name sees one Arc.
+        // Every reader of a given name sees one Arc.
         let a = store.get("c3").unwrap();
         let b = store.get("c3").unwrap();
         assert!(Arc::ptr_eq(&a, &b));

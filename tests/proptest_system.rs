@@ -119,7 +119,7 @@ proptest! {
         train_rows in prop::collection::vec((0i64..8, small_f64(), small_f64()), 5..50),
         cand_rows in prop::collection::vec((0i64..8, small_f64(), small_f64()), 1..30),
     ) {
-        use mileena::semiring::{grouped_triples, CovarTriple, GroupedArena, KeyInterner};
+        use mileena::semiring::{grouped_triples, CovarTriple, GroupedArena};
 
         let train = RelationBuilder::new("train")
             .int_col("k", &train_rows.iter().map(|r| r.0).collect::<Vec<_>>())
@@ -138,11 +138,10 @@ proptest! {
         let ref_right = grouped_triples(&cand, &["k"], &["z", "w"]).unwrap();
 
         // Packed arenas over the same data.
-        let interner = KeyInterner::new();
         let left = GroupedArena::from_groups(
-            &["x".to_string(), "y".to_string()], ref_left.clone(), &interner).unwrap();
+            &["x".to_string(), "y".to_string()], ref_left.clone()).unwrap();
         let right = GroupedArena::from_groups(
-            &["z".to_string(), "w".to_string()], ref_right.clone(), &interner).unwrap();
+            &["z".to_string(), "w".to_string()], ref_right.clone()).unwrap();
 
         // join_stats vs Σ_k mul over the key intersection.
         let (c, s, q, matched) = left.join_stats(&right);

@@ -746,3 +746,54 @@ fn server_binary_shard_kill_drill_degrades_then_recovers() {
     assert!(output.status.success(), "drill shutdown must exit 0: {:?}", output.status);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What a server saw before a corpus arrived must not reach the last bit of
+/// a reply over that corpus: scores are a function of corpus and request.
+/// One server first runs a search whose requester keys span a wide zone
+/// domain; another starts cold. Both then take the same corpus and the
+/// same request.
+#[test]
+fn replies_are_bit_equal_whatever_the_server_saw_first() {
+    let c = generate_corpus(&CorpusConfig { num_datasets: 40, ..CorpusConfig::paper_scale(1) });
+    let wide = |name: &str, phase: f64| {
+        let zones: Vec<i64> = (0..20_000).collect();
+        let wave = |k: f64| zones.iter().map(|&z| (z as f64 * k + phase).sin()).collect::<Vec<_>>();
+        mileena::relation::RelationBuilder::new(name)
+            .int_col("zone", &zones)
+            .float_col("base_x", &wave(0.37))
+            .float_col("y", &wave(0.11))
+            .build()
+            .unwrap()
+    };
+    let warm_up = SearchRequestBuilder::new(wide("warm-train", 0.0), wide("warm-test", 1.0))
+        .task(TaskSpec::new("y", &["base_x"]))
+        .key_columns(&["zone"])
+        .requester("warm-up")
+        .sketch()
+        .unwrap();
+
+    let run = |tag: &str, warm: bool| {
+        let dir = std::env::temp_dir().join(format!("mileena-key-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut child, addr) = spawn_server(&dir);
+        let client = TcpWire::connect(addr.as_str()).unwrap();
+        if warm {
+            client.search(warm_up.clone(), None).unwrap();
+        }
+        serve(&c, &client);
+        let reply = client.search(sketched(&c, tag), None).unwrap();
+        child.stdin.as_mut().unwrap().write_all(b"shutdown\n").unwrap();
+        assert!(child.wait().unwrap().success(), "{tag}: graceful shutdown");
+        std::fs::remove_dir_all(&dir).unwrap();
+        reply
+    };
+    let cold = run("cold", false);
+    let warm = run("warm", true);
+    assert!(!cold.steps.is_empty(), "the corpus must give the search something to commit");
+    assert_replies_identical(&cold, &warm, "cold vs warmed-up server");
+    let bits = |r: &SearchReply| {
+        let steps = r.steps.iter().map(|s| s.score_after.to_bits());
+        (r.final_score.to_bits(), steps.collect::<Vec<_>>())
+    };
+    assert_eq!(bits(&cold), bits(&warm), "final and per-step scores, bit for bit");
+}
