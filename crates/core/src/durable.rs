@@ -297,12 +297,19 @@ impl CompactKeyed {
         }
     }
 
-    /// Rehydrate into an arena-backed keyed sketch. Key ids are content
-    /// hashes, so the rows sort into the order the acknowledging process
-    /// held them in, whatever this process saw first. Slab lengths and keys
-    /// are validated by `GroupedArena::from_parts` — sheared slabs and NULL
-    /// or repeated keys surface as a typed storage error, never a panic.
-    pub fn into_keyed(self) -> Result<mileena_sketch::KeyedSketch> {
+    /// Rehydrate into an arena-backed keyed sketch. Key ids are a function
+    /// of the key values, so the rows sort into the order the acknowledging
+    /// process held them in, whatever this process saw first. Slab lengths
+    /// and keys are validated by `GroupedArena::from_parts` — sheared slabs
+    /// and repeated keys surface as a typed storage error, never a panic.
+    /// Rows keyed with a NULL component are dropped: NULL keys never join,
+    /// and an upload holding one was acknowledged and journaled before
+    /// uploads with NULL keys were refused, so its directory must still
+    /// open.
+    pub fn into_keyed(mut self) -> Result<mileena_sketch::KeyedSketch> {
+        if self.keys.iter().any(|key| key.contains(&mileena_relation::KeyValue::Null)) {
+            self.drop_null_key_rows();
+        }
         let arena = mileena_semiring::GroupedArena::from_parts(
             self.features,
             self.keys,
@@ -312,6 +319,30 @@ impl CompactKeyed {
         )
         .map_err(|e| CoreError::Storage(format!("compact sketch: {e}")))?;
         Ok(mileena_sketch::KeyedSketch::from_arena(self.key_column, arena))
+    }
+
+    /// Remove every row whose key has a NULL component (slabs of the wrong
+    /// length are left for `from_parts` to refuse).
+    fn drop_null_key_rows(&mut self) {
+        let (d, m) = (self.keys.len(), self.features.len());
+        let p = mileena_semiring::packed_len(m);
+        if self.c.len() != d || self.s.len() != d * m || self.qu.len() != d * p {
+            return;
+        }
+        let (mut c, mut s, mut qu) = (Vec::new(), Vec::new(), Vec::new());
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut r = 0;
+        keys.retain(|key| {
+            let keep = !key.contains(&mileena_relation::KeyValue::Null);
+            if keep {
+                c.push(self.c[r]);
+                s.extend_from_slice(&self.s[r * m..(r + 1) * m]);
+                qu.extend_from_slice(&self.qu[r * p..(r + 1) * p]);
+            }
+            r += 1;
+            keep
+        });
+        (self.keys, self.c, self.s, self.qu) = (keys, c, s, qu);
     }
 }
 
@@ -1150,6 +1181,40 @@ mod tests {
         let u = upload();
         let back = CompactSketch::of(&u.sketch).into_sketch().unwrap();
         assert_eq!(u.sketch, back);
+    }
+
+    #[test]
+    fn a_journaled_null_key_row_is_dropped_on_replay() {
+        // Writers before NULL keys were refused could journal one in this
+        // same layout. Forge such a record: rewrite one key of a freshly
+        // encoded record in place, at equal length.
+        let u = mixed_key_upload();
+        let key_bytes = |key: &[KeyValue]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, key.len()).unwrap();
+            for v in key {
+                put_key_value(&mut out, v).unwrap();
+            }
+            out
+        };
+        let live = key_bytes(&[KeyValue::Int(9), KeyValue::Int(-7)]);
+        let null = key_bytes(&[KeyValue::Null, KeyValue::Str("012345678901".into())]);
+        assert_eq!(live.len(), null.len());
+        let mut record = WalOpRef::Register { upload: &u }.encode().unwrap();
+        let at = record.windows(live.len()).position(|w| w == live).unwrap();
+        record[at..at + live.len()].copy_from_slice(&null);
+
+        let WalOp::Register { upload } = WalOp::decode(&record).unwrap() else {
+            panic!("a register record decodes as one");
+        };
+        let pair = |u: &ProviderUpload| {
+            let keyed = u.sketch.keyed.iter().find(|k| k.key_column == "pair").unwrap();
+            keyed.sorted_pairs()
+        };
+        let want: Vec<_> =
+            pair(&u).into_iter().filter(|(key, _)| key[0] != KeyValue::Int(9)).collect();
+        assert_eq!(want.len(), 2);
+        assert_eq!(pair(&upload), want);
     }
 
     #[test]

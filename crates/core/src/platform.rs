@@ -25,12 +25,12 @@
 //! still routes to the shard holding the spend and cannot launder budget
 //! through the partitioning.
 //!
-//! **Parity.** Join-key ids are content hashes, so every shard orders
-//! arena rows as a single store would; all shards share one dataset
-//! interner and one corpus-global TF-IDF [`TermSpace`]; and the search
-//! loop's gather tie-break is the candidate's global enumeration position,
-//! so selections, scores and models are bit-identical at every shard
-//! count (pinned by the `sharded_parity` suite); only execution counters
+//! **Parity.** Join-key ids are a fixed function of the key, so every
+//! shard orders arena rows as a single store would; all shards share one
+//! dataset interner and one corpus-global TF-IDF [`TermSpace`]; and the
+//! search loop's gather tie-break is the candidate's global enumeration
+//! position, so selections, scores and models are bit-identical at every
+//! shard count (pinned by the `sharded_parity` suite); only execution counters
 //! (evaluations/bound skips) may differ at S > 1, because the distributed
 //! pruning walk is a different — equally admissible — walk.
 //!

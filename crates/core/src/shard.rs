@@ -7,11 +7,11 @@
 //! [`crate::platform`], which owns S of these (S = 1 for a
 //! `CentralPlatform`).
 //!
-//! Join-key ids are content hashes, and all shards of one platform share
-//! the process-global dataset interner, one corpus-global TF-IDF
-//! [`TermSpace`] and the coordinator's metrics registry, so discovery
-//! scores, candidate ranks and evaluation results do not depend on how
-//! the corpus is partitioned.
+//! Join-key ids are a fixed function of the key value, and all shards of
+//! one platform share the process-global dataset interner, one
+//! corpus-global TF-IDF [`TermSpace`] and the coordinator's metrics
+//! registry, so discovery scores, candidate ranks and evaluation results do
+//! not depend on how the corpus is partitioned.
 
 use crate::durable::{
     DeltaPayload, DeltaPayloadRef, PlatformSnapshotRef, RecoveryReport, SnapshotIndex,

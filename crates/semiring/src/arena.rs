@@ -18,12 +18,12 @@
 //! full symmetric matrix is materialized only at the [`CovarTriple`]
 //! boundary ([`GroupedArena::triple_at`], join outputs).
 //!
-//! A [`KeyId`] is a fixed 64-bit hash of the key value, so every arena in
-//! every process agrees on ids, and rows are sorted by id: row order — the
-//! summation order of every join statistic — is a function of the keys
-//! alone. Orders a reader sees by key value (JSON serialization, the
-//! privacy layer's noise walk, `sorted_pairs`) go through the key-sorted
-//! view.
+//! A [`KeyId`] is a fixed function of the key value — the integer itself
+//! for an integer key, a hash otherwise — so every arena in every process
+//! agrees on ids, and rows are sorted by id: row order — the summation
+//! order of every join statistic — is a function of the keys alone. Orders
+//! a reader sees by key value (JSON serialization, the privacy layer's
+//! noise walk, `sorted_pairs`) go through the key-sorted view.
 
 use crate::covar::CovarTriple;
 use crate::error::{Result, SemiringError};
@@ -70,109 +70,211 @@ pub fn unpack_upper_row(packed: &[f64], m: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// Join-key identity: a fixed 64-bit hash of the key's canonical encoding.
+/// Join-key identity: a fixed function of the key value, the same in every
+/// process whatever keys it saw before, so arena row order — the summation
+/// order of every join statistic — depends only on the keys an arena holds.
 ///
-/// The id is a pure function of the key value — the same in every process,
-/// whatever keys it saw before — so arena row order, and with it the
-/// summation order of every join statistic, depends only on the keys an
-/// arena holds. The encoding is the component count, then per component a
-/// tag word (`Null` 0, `Int` 1, `Str` 2) and its payload (`Int`: the
-/// value; `Str`: the byte length, then the bytes in little-endian 8-byte
-/// words, zero-padded), each word folded in by MurmurHash3's `fmix64`. It is
-/// prefix-free, so distinct keys hash to distinct word streams; the
-/// pinned test vectors make any change to it a deliberate break.
+/// A single `Int` key in `-2^62 .. 2^62` takes the order-preserving id
+/// `i + 2^62`, below `2^63`: integer rows sort by value, so a join walk
+/// over two integer key ranges stops where the shorter range ends. Every
+/// other key takes SipHash-2-4 (fixed key) of its canonical encoding with
+/// the top bit set: the component count, then per component a tag word
+/// (`Null` 0, `Int` 1, `Str` 2) and its payload (`Int`: the value; `Str`:
+/// the byte length, then the bytes in little-endian 8-byte words,
+/// zero-padded). The pinned test vectors make any change to either a
+/// deliberate break.
+///
+/// Integer ids are injective and never share an id with a hashed key. Two
+/// hashed keys can share one (SipHash is keyed but its key is public); the
+/// process-wide key table then gives the key entered second the next free
+/// hashed id, so a collision costs those two keys their process
+/// independence of row order, never a refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyId(pub u64);
 
-/// MurmurHash3's 64-bit finalizer: a bijection with full avalanche.
-#[inline]
-const fn fmix64(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
+/// Tag bit of a hashed [`KeyId`]; ids below it stand for single `Int` keys.
+const HASHED: u64 = 1 << 63;
+/// Offset of an integer key's id: `-2^62 .. 2^62` maps onto `0 .. 2^63`.
+const INT_BIAS: i64 = 1 << 62;
 
 impl KeyId {
-    /// The id of a key.
-    pub fn of(key: &[KeyValue]) -> KeyId {
-        let absorb = |h: u64, w: u64| fmix64(h ^ w);
-        let mut h = absorb(0x6d69_6c65_656e_612e, key.len() as u64);
+    /// The id a key takes unless another key already holds it.
+    fn home(key: &[KeyValue]) -> KeyId {
+        if let [KeyValue::Int(i)] = key {
+            if (-INT_BIAS..INT_BIAS).contains(i) {
+                return KeyId((i + INT_BIAS) as u64);
+            }
+        }
+        let mut h = SipHash24::new();
+        h.word(key.len() as u64);
         for v in key {
-            h = match v {
-                KeyValue::Null => absorb(h, 0),
-                KeyValue::Int(i) => absorb(absorb(h, 1), *i as u64),
+            match v {
+                KeyValue::Null => h.word(0),
+                KeyValue::Int(i) => {
+                    h.word(1);
+                    h.word(*i as u64);
+                }
                 KeyValue::Str(s) => {
-                    let mut h = absorb(absorb(h, 2), s.len() as u64);
+                    h.word(2);
+                    h.word(s.len() as u64);
                     for chunk in s.as_bytes().chunks(8) {
                         let mut word = [0u8; 8];
                         word[..chunk.len()].copy_from_slice(chunk);
-                        h = absorb(h, u64::from_le_bytes(word));
+                        h.word(u64::from_le_bytes(word));
                     }
-                    h
                 }
-            };
+            }
         }
-        KeyId(h)
+        KeyId(h.finish() | HASHED)
+    }
+
+    /// The hashed id tried after this one when it is held by another key
+    /// (wraps within the hashed half).
+    fn next_probe(self) -> KeyId {
+        KeyId(self.0.wrapping_add(1) | HASHED)
     }
 }
 
-/// The process-wide table from id back to key: every id an arena holds was
-/// entered here, which is how ids resolve to values (serialization, the
-/// key-ordered noise walk, [`GroupedArena::find`]) and how two keys that
-/// share a hash are caught before either can join as the other.
-type KeyTable = RwLock<FxHashMap<KeyId, Box<[KeyValue]>>>;
-
-fn key_table() -> &'static KeyTable {
-    static TABLE: OnceLock<KeyTable> = OnceLock::new();
-    TABLE.get_or_init(KeyTable::default)
+/// SipHash-2-4 over a message of whole little-endian 64-bit words.
+struct SipHash24 {
+    v: [u64; 4],
+    words: u64,
 }
 
-/// Enter `key` under `id`; refuses an id already held by another key.
-fn insert_key(
-    table: &mut FxHashMap<KeyId, Box<[KeyValue]>>,
-    id: KeyId,
-    key: Vec<KeyValue>,
-) -> Result<()> {
-    match table.get(&id) {
-        None => {
-            table.insert(id, key.into_boxed_slice());
-            Ok(())
-        }
-        Some(held) if **held == *key => Ok(()),
-        Some(held) => Err(SemiringError::KeyCollision {
-            id: id.0,
-            key: format!("{key:?}"),
-            held: format!("{held:?}"),
-        }),
+impl SipHash24 {
+    /// The fixed key (the ASCII of "mileena:" and "join key").
+    const K0: u64 = 0x3a61_6e65_656c_696d;
+    const K1: u64 = 0x7965_6b20_6e69_6f6a;
+
+    fn new() -> Self {
+        Self::with_key(Self::K0, Self::K1)
     }
+
+    fn with_key(k0: u64, k1: u64) -> Self {
+        SipHash24 {
+            v: [
+                k0 ^ 0x736f_6d65_7073_6575,
+                k1 ^ 0x646f_7261_6e64_6f6d,
+                k0 ^ 0x6c79_6765_6e65_7261,
+                k1 ^ 0x7465_6462_7974_6573,
+            ],
+            words: 0,
+        }
+    }
+
+    #[inline]
+    fn round(&mut self) {
+        let v = &mut self.v;
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+
+    #[inline]
+    fn compress(&mut self, m: u64) {
+        self.v[3] ^= m;
+        self.round();
+        self.round();
+        self.v[0] ^= m;
+    }
+
+    #[inline]
+    fn word(&mut self, m: u64) {
+        self.compress(m);
+        self.words += 1;
+    }
+
+    fn finish(mut self) -> u64 {
+        // The closing block holds only the message length in bytes, mod 256.
+        self.compress(self.words.wrapping_mul(8) << 56);
+        self.v[2] ^= 0xff;
+        for _ in 0..4 {
+            self.round();
+        }
+        self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3]
+    }
+}
+
+/// Hashed ids back to their keys (an integer id resolves by arithmetic):
+/// how ids resolve to values (serialization, the key-ordered noise walk,
+/// [`GroupedArena::find`]) and how a key whose home id another key holds
+/// finds its own. Entries are never removed, so a probe run ends at the
+/// first vacant id.
+#[derive(Debug, Default)]
+struct KeyTable(FxHashMap<KeyId, Box<[KeyValue]>>);
+
+impl KeyTable {
+    /// `Ok(id)` when `key` holds `id`; `Err(id)` with the vacant id it
+    /// would be entered under.
+    fn lookup(&self, key: &[KeyValue]) -> std::result::Result<KeyId, KeyId> {
+        let mut id = KeyId::home(key);
+        if id.0 & HASHED == 0 {
+            return Ok(id);
+        }
+        loop {
+            match self.0.get(&id) {
+                None => return Err(id),
+                Some(held) if **held == *key => return Ok(id),
+                Some(_) => id = id.next_probe(),
+            }
+        }
+    }
+
+    /// The id of `key`, entering it if it is new.
+    fn enter(&mut self, key: Vec<KeyValue>) -> KeyId {
+        self.lookup(&key).unwrap_or_else(|id| {
+            self.0.insert(id, key.into_boxed_slice());
+            id
+        })
+    }
+
+    /// The key `id` stands for.
+    fn resolve(&self, id: KeyId) -> Vec<KeyValue> {
+        if id.0 & HASHED == 0 {
+            vec![KeyValue::Int(id.0 as i64 - INT_BIAS)]
+        } else {
+            self.0[&id].to_vec()
+        }
+    }
+}
+
+fn key_table() -> &'static RwLock<KeyTable> {
+    static TABLE: OnceLock<RwLock<KeyTable>> = OnceLock::new();
+    TABLE.get_or_init(Default::default)
 }
 
 /// Ids of `keys`, entering unseen keys into the table: one read lock for
 /// the keys already known, one write lock for the rest. A key with a NULL
-/// component is refused — NULL keys never join (SQL semantics) — and so is
-/// a key whose id another key holds.
+/// component is refused — NULL keys never join (SQL semantics).
 fn intern_keys(keys: Vec<Vec<KeyValue>>) -> Result<Vec<KeyId>> {
     if let Some(key) = keys.iter().find(|key| key.contains(&KeyValue::Null)) {
         return Err(SemiringError::NullKey(format!("{key:?}")));
     }
-    let ids: Vec<KeyId> = keys.iter().map(|key| KeyId::of(key)).collect();
-    let unseen: Vec<(KeyId, Vec<KeyValue>)> = {
+    let mut ids = Vec::with_capacity(keys.len());
+    let mut unseen = Vec::new();
+    {
         let table = key_table().read();
-        let mut unseen = Vec::new();
-        for (&id, key) in ids.iter().zip(keys) {
-            match table.get(&id) {
-                Some(held) if **held == *key => {}
-                _ => unseen.push((id, key)),
+        for (r, key) in keys.into_iter().enumerate() {
+            match table.lookup(&key) {
+                Ok(id) => ids.push(id),
+                Err(id) => {
+                    ids.push(id);
+                    unseen.push((r, key));
+                }
             }
         }
-        unseen
-    };
+    }
     if !unseen.is_empty() {
         let mut table = key_table().write();
-        for (id, key) in unseen {
-            insert_key(&mut table, id, key)?;
+        for (r, key) in unseen {
+            ids[r] = table.enter(key);
         }
     }
     Ok(ids)
@@ -313,13 +415,13 @@ impl GroupedArena {
     }
 
     /// Give the filled slabs their keys (one per row, in slab order) and
-    /// sort the rows by id. Refuses NULL, colliding and repeated keys: a
-    /// repeated key would shear every lookup.
+    /// sort the rows by id. Refuses NULL and repeated keys: a repeated key
+    /// would shear every lookup.
     fn key_rows(mut self, keys: Vec<Vec<KeyValue>>) -> Result<Self> {
         self.key_ids = intern_keys(keys)?;
         self.sort_rows();
         if let Some(w) = self.key_ids.windows(2).find(|w| w[0] == w[1]) {
-            let key = key_table().read()[&w[0]].to_vec();
+            let key = key_table().read().resolve(w[0]);
             return Err(SemiringError::DuplicateKey(format!("{key:?}")));
         }
         Ok(self)
@@ -371,22 +473,19 @@ impl GroupedArena {
 
     /// Resolve row `r`'s key.
     pub fn key_at(&self, r: usize) -> Vec<KeyValue> {
-        key_table().read()[&self.key_ids[r]].to_vec()
+        key_table().read().resolve(self.key_ids[r])
     }
 
     /// Every row's key, in row order, resolved under one table read lock.
     pub fn keys(&self) -> Vec<Vec<KeyValue>> {
         let table = key_table().read();
-        self.key_ids.iter().map(|id| table[id].to_vec()).collect()
+        self.key_ids.iter().map(|&id| table.resolve(id)).collect()
     }
 
     /// Row index of a key, if present.
     pub fn find(&self, key: &[KeyValue]) -> Option<usize> {
-        let id = KeyId::of(key);
-        let r = self.key_ids.binary_search(&id).ok()?;
-        // The row holds `key` unless `key` shares its hash and was never
-        // entered (the table refuses a second key under one id).
-        key_table().read().get(&id).is_some_and(|held| **held == *key).then_some(r)
+        let id = key_table().read().lookup(key).ok()?;
+        self.key_ids.binary_search(&id).ok()
     }
 
     /// `(row, key)` pairs in key-value order (the order a reader sees).
@@ -1042,20 +1141,49 @@ mod tests {
     }
 
     #[test]
-    fn key_ids_are_pinned_content_hashes() {
+    fn key_ids_are_pinned() {
         // Any change to these values changes the row order — and the last
         // bits of every join statistic — of every arena: a deliberate break.
         let s = |v: &str| KeyValue::Str(v.into());
-        let vectors: [(Vec<KeyValue>, u64); 6] = [
-            (k(0), 0x5881_3ece_98dc_09d3),
-            (k(-7), 0x6365_64db_d152_6b61),
-            (vec![s("")], 0x5dad_7ffc_ad75_96d4),
-            (vec![s("brooklyn heights")], 0x3509_eb99_e2dc_4eb6),
-            (vec![KeyValue::Int(3), s("sf")], 0xf6b4_92f1_9db0_35a3),
-            (vec![s("sf"), KeyValue::Int(3)], 0x79b5_41cf_e370_07b1),
+        let vectors: [(Vec<KeyValue>, u64); 9] = [
+            (k(0), 0x4000_0000_0000_0000),
+            (k(-7), 0x3fff_ffff_ffff_fff9),
+            (k(-(1 << 62)), 0),
+            (k((1 << 62) - 1), 0x7fff_ffff_ffff_ffff),
+            (k(1 << 62), 0x9797_ffdd_f942_a29f),
+            (vec![s("")], 0xbef1_3fa4_7496_1f25),
+            (vec![s("brooklyn heights")], 0x84dc_8e1b_4c02_97b3),
+            (vec![KeyValue::Int(3), s("sf")], 0x88df_4795_29ec_e2ed),
+            (vec![s("sf"), KeyValue::Int(3)], 0xa4b2_035e_0d84_e0fa),
         ];
         for (key, want) in &vectors {
-            assert_eq!(KeyId::of(key), KeyId(*want), "{key:?} -> {:#018x}", KeyId::of(key).0);
+            let got = KeyId::home(key);
+            assert_eq!(got, KeyId(*want), "{key:?} -> {:#018x}", got.0);
+        }
+    }
+
+    #[test]
+    #[allow(deprecated)] // std's SipHasher is SipHash-2-4: the reference here
+    fn siphash_is_siphash_2_4() {
+        use std::hash::Hasher;
+        // The SipHash paper's key 00..0f over messages 00.. of whole words.
+        let (k0, k1) = (0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);
+        assert_eq!(SipHash24::with_key(k0, k1).finish(), 0x726f_db47_dd0e_0e31);
+        let mut h = SipHash24::with_key(k0, k1);
+        h.word(0x0706_0504_0302_0100);
+        assert_eq!(h.finish(), 0x93f5_f579_9a93_2462);
+        let mut draw = Draw(3);
+        for n in 0..40 {
+            let (mut ours, mut reference) = (
+                SipHash24::new(),
+                std::hash::SipHasher::new_with_keys(SipHash24::K0, SipHash24::K1),
+            );
+            for _ in 0..n {
+                let w = draw.next();
+                ours.word(w);
+                reference.write(&w.to_le_bytes());
+            }
+            assert_eq!(ours.finish(), reference.finish(), "{n} words");
         }
     }
 
@@ -1065,44 +1193,74 @@ mod tests {
         let backward: Vec<i64> = forward.iter().rev().copied().collect();
         let arena = |keys: &[i64]| {
             let feats = ["x".to_string()];
-            let groups = keys.iter().map(|&v| (k(v), triple(&["x"], &[&[v as f64]])));
+            let groups = keys.iter().map(|&v| {
+                let key = vec![KeyValue::Str(format!("zone-{v}"))];
+                (key, triple(&["x"], &[&[v as f64]]))
+            });
             GroupedArena::from_groups(&feats, groups).unwrap()
         };
         let (a, b) = (arena(&backward), arena(&forward));
         assert_eq!(a.key_ids(), b.key_ids());
         assert_eq!(a, b);
-        let direct: Vec<KeyId> = forward.iter().map(|&v| KeyId::of(&k(v))).collect();
-        assert!(direct.iter().all(|id| a.key_ids().binary_search(id).is_ok()));
-        assert_eq!(a.key_at(a.find(&k(900_007)).unwrap()), k(900_007));
+        let key = vec![KeyValue::Str("zone-900007".into())];
+        assert_eq!(a.key_ids()[a.find(&key).unwrap()], KeyId::home(&key));
+        assert_eq!(a.key_at(a.find(&key).unwrap()), key);
+        // Integer keys sort by value, below every hashed key.
+        let mixed = arena_of(&["x"], &[(7, &[&[1.0]]), (-3, &[&[1.0]]), (0, &[&[1.0]])]);
+        assert_eq!(mixed.keys(), vec![k(-3), k(0), k(7)]);
     }
 
     #[test]
-    fn a_second_key_under_one_id_is_refused() {
-        // Forge a collision: enter a squatter under the id of a key no other
-        // test uses, then build with that key.
+    fn a_key_whose_id_is_held_takes_the_next() {
+        assert_eq!(KeyId(u64::MAX).next_probe(), KeyId(HASHED));
+        let mut table = KeyTable::default();
+        let key = vec![KeyValue::Str("probe".into())];
+        let home = KeyId::home(&key);
+        for (id, squatter) in [(home, "a"), (home.next_probe(), "b")] {
+            table.0.insert(id, vec![KeyValue::Str(squatter.into())].into_boxed_slice());
+        }
+        let id = table.enter(key.clone());
+        assert_eq!(id, home.next_probe().next_probe());
+        assert_eq!((table.lookup(&key), table.enter(key.clone())), (Ok(id), id));
+        assert_eq!(table.resolve(id), key);
+        // Integer ids resolve by arithmetic and never enter the table.
+        assert_eq!(table.enter(k(-3)), KeyId::home(&k(-3)));
+        assert_eq!(table.resolve(KeyId::home(&k(-3))), k(-3));
+        assert_eq!(table.0.len(), 3);
+    }
+
+    #[test]
+    fn a_collision_is_never_refused() {
+        // Forge a collision in the process-wide table: a squatter holds the
+        // home id of a key no other test uses before any arena sees it.
         let victim = vec![KeyValue::Str("collision-victim".into())];
         let squatter = vec![KeyValue::Str("collision-squatter".into())];
-        let id = KeyId::of(&victim);
-        insert_key(&mut key_table().write(), id, squatter.clone()).unwrap();
-        assert!(insert_key(&mut key_table().write(), id, squatter).is_ok(), "same key: no-op");
+        let home = KeyId::home(&victim);
+        key_table().write().0.insert(home, squatter.clone().into_boxed_slice());
 
-        let feats = ["x".to_string()];
-        let err =
-            GroupedArena::from_groups(&feats, vec![(victim.clone(), triple(&["x"], &[&[1.0]]))])
-                .unwrap_err();
-        assert!(
-            matches!(err, SemiringError::KeyCollision { id: got, .. } if got == id.0),
-            "{err:?}"
-        );
-        let err = GroupedArena::from_parts(
-            feats.to_vec(),
-            vec![victim.clone()],
-            vec![1.0],
-            vec![1.0],
-            vec![1.0],
+        // A sketch read back from storage and a requester's sketch both
+        // build, agree on the victim's id and join on it.
+        let stored = GroupedArena::from_parts(
+            vec!["x".to_string()],
+            vec![k(5), victim.clone()],
+            vec![1.0, 1.0],
+            vec![2.0, 3.0],
+            vec![4.0, 9.0],
         )
-        .unwrap_err();
-        assert!(matches!(err, SemiringError::KeyCollision { .. }), "{err:?}");
+        .unwrap();
+        let request = GroupedArena::from_groups(
+            &["z".to_string()],
+            vec![(victim.clone(), triple(&["z"], &[&[1.0]]))],
+        )
+        .unwrap();
+        let r = stored.find(&victim).unwrap();
+        assert_eq!(stored.key_ids()[r], home.next_probe());
+        assert_eq!(stored.key_at(r), victim);
+        assert_eq!(stored.triple_at(r).s, vec![3.0]);
+        assert!(stored.find(&squatter).is_none());
+        assert_eq!(stored.sorted_pairs()[1].0, victim);
+        let (c, _, _, matched) = request.join_stats(&stored);
+        assert_eq!((c, matched), (1.0, 1));
     }
 
     #[test]

@@ -27,16 +27,6 @@ pub enum SemiringError {
     NullKey(String),
     /// A join key listed twice in one sketch.
     DuplicateKey(String),
-    /// Two distinct join keys hash to one [`KeyId`](crate::KeyId); the key
-    /// entered second is refused.
-    KeyCollision {
-        /// The shared id.
-        id: u64,
-        /// The refused key.
-        key: String,
-        /// The key that holds the id.
-        held: String,
-    },
 }
 
 impl fmt::Display for SemiringError {
@@ -53,9 +43,6 @@ impl fmt::Display for SemiringError {
             SemiringError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             SemiringError::NullKey(key) => write!(f, "join key {key} has a NULL component"),
             SemiringError::DuplicateKey(key) => write!(f, "join key {key} is listed twice"),
-            SemiringError::KeyCollision { id, key, held } => {
-                write!(f, "join key {key} hashes to id {id:#018x}, which {held} holds")
-            }
         }
     }
 }

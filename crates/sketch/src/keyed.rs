@@ -27,18 +27,9 @@ pub struct KeyedSketch {
 }
 
 impl KeyedSketch {
-    /// Construct from a hash-map of per-key triples.
-    ///
-    /// Panics if the triples do not share one feature set or a key has a
-    /// NULL component — in-tree construction always satisfies that;
-    /// untrusted inputs go through [`KeyedSketch::try_new`].
-    pub fn new(key_column: impl Into<String>, groups: GroupedTriples) -> Self {
-        Self::try_new(key_column, groups).expect("KeyedSketch::new: malformed groups")
-    }
-
-    /// Fallible construction from per-key triples (wire boundary: feature
-    /// sets may disagree, slab widths may be malformed and keys may hold
-    /// NULLs in hostile input).
+    /// Construct from per-key triples. Fails when the triples do not share
+    /// one feature set, a slab width is malformed or a key has a NULL
+    /// component (all possible in hostile wire input).
     pub fn try_new(
         key_column: impl Into<String>,
         groups: GroupedTriples,
@@ -218,7 +209,7 @@ mod tests {
         groups.insert(vec![KeyValue::Int(1)], CovarTriple::of_row(&["x"], &[2.0]).unwrap());
         groups
             .insert(vec![KeyValue::Str("a".into())], CovarTriple::of_row(&["x"], &[3.0]).unwrap());
-        KeyedSketch::new("k", groups)
+        KeyedSketch::try_new("k", groups).unwrap()
     }
 
     #[test]

@@ -73,8 +73,8 @@ struct StoreInner {
 /// deterministic. Cloning the store is cheap (shared `Arc`), matching the
 /// multi-requester usage pattern: many concurrent searches over one corpus.
 ///
-/// Sketches register as built: join-key ids are content hashes, valid in
-/// every store and every process. Dataset ids come from the
+/// Sketches register as built: join-key ids are a fixed function of the
+/// key value, valid in every store and every process. Dataset ids come from the
 /// (by default process-global) [`DatasetInterner`], so a discovery index
 /// built independently hands out ids this store resolves directly.
 #[derive(Debug, Clone)]
