@@ -249,10 +249,7 @@ impl Shard {
             && policy.background_hydration
             && std::env::var_os("MILEENA_NO_BG_HYDRATION").is_none()
         {
-            let hydrator = store.clone();
-            std::thread::spawn(move || {
-                let _ = hydrator.hydrate_pending();
-            });
+            store.hydrate_in_background();
         }
 
         Ok(DurableState {

@@ -71,24 +71,13 @@ pub fn unpack_upper_row(packed: &[f64], m: usize, out: &mut Vec<f64>) {
 }
 
 /// Join-key identity: a fixed function of the key value, the same in every
-/// process whatever keys it saw before, so arena row order — the summation
-/// order of every join statistic — depends only on the keys an arena holds.
-///
-/// A single `Int` key in `-2^62 .. 2^62` takes the order-preserving id
-/// `i + 2^62`, below `2^63`: integer rows sort by value, so a join walk
-/// over two integer key ranges stops where the shorter range ends. Every
-/// other key takes SipHash-2-4 (fixed key) of its canonical encoding with
-/// the top bit set: the component count, then per component a tag word
-/// (`Null` 0, `Int` 1, `Str` 2) and its payload (`Int`: the value; `Str`:
-/// the byte length, then the bytes in little-endian 8-byte words,
-/// zero-padded). The pinned test vectors make any change to either a
-/// deliberate break.
-///
-/// Integer ids are injective and never share an id with a hashed key. Two
-/// hashed keys can share one (SipHash is keyed but its key is public); the
-/// process-wide key table then gives the key entered second the next free
-/// hashed id, so a collision costs those two keys their process
-/// independence of row order, never a refusal.
+/// process whatever keys it saw before (DESIGN.md, "Key identity"). A
+/// single `Int` key in `-2^62 .. 2^62` takes the order-preserving id
+/// `i + 2^62`; every other key, SipHash-2-4 of its canonical encoding (the
+/// component count, then per component a tag word — `Null` 0, `Int` 1,
+/// `Str` 2 — and its payload: the value, or the byte length then the bytes
+/// in zero-padded little-endian words) with the top bit set. A hashed id
+/// another key holds sends the newcomer to the next free hashed id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyId(pub u64);
 
@@ -96,6 +85,8 @@ pub struct KeyId(pub u64);
 const HASHED: u64 = 1 << 63;
 /// Offset of an integer key's id: `-2^62 .. 2^62` maps onto `0 .. 2^63`.
 const INT_BIAS: i64 = 1 << 62;
+/// The fixed SipHash key (the ASCII of "mileena:" and "join key").
+const SIP_KEY: (u64, u64) = (0x3a61_6e65_656c_696d, 0x7965_6b20_6e69_6f6a);
 
 impl KeyId {
     /// The id a key takes unless another key already holds it.
@@ -105,7 +96,7 @@ impl KeyId {
                 return KeyId((i + INT_BIAS) as u64);
             }
         }
-        let mut h = SipHash24::new();
+        let mut h = SipHash24::new(SIP_KEY);
         h.word(key.len() as u64);
         for v in key {
             match v {
@@ -128,77 +119,51 @@ impl KeyId {
         KeyId(h.finish() | HASHED)
     }
 
-    /// The hashed id tried after this one when it is held by another key
-    /// (wraps within the hashed half).
+    /// The hashed id tried after this one (wraps within the hashed half).
     fn next_probe(self) -> KeyId {
         KeyId(self.0.wrapping_add(1) | HASHED)
     }
 }
 
-/// SipHash-2-4 over a message of whole little-endian 64-bit words.
-struct SipHash24 {
-    v: [u64; 4],
-    words: u64,
-}
+/// SipHash-2-4 over a message of whole little-endian 64-bit words: the
+/// state `v0..v3` and the words absorbed so far.
+struct SipHash24([u64; 4], u64);
 
 impl SipHash24 {
-    /// The fixed key (the ASCII of "mileena:" and "join key").
-    const K0: u64 = 0x3a61_6e65_656c_696d;
-    const K1: u64 = 0x7965_6b20_6e69_6f6a;
-
-    fn new() -> Self {
-        Self::with_key(Self::K0, Self::K1)
+    fn new((k0, k1): (u64, u64)) -> Self {
+        let v = [0x736f_6d65_7073_6575, 0x646f_7261_6e64_6f6d, 0x6c79_6765_6e65_7261];
+        SipHash24([k0 ^ v[0], k1 ^ v[1], k0 ^ v[2], k1 ^ 0x7465_6462_7974_6573], 0)
     }
 
-    fn with_key(k0: u64, k1: u64) -> Self {
-        SipHash24 {
-            v: [
-                k0 ^ 0x736f_6d65_7073_6575,
-                k1 ^ 0x646f_7261_6e64_6f6d,
-                k0 ^ 0x6c79_6765_6e65_7261,
-                k1 ^ 0x7465_6462_7974_6573,
-            ],
-            words: 0,
+    fn rounds(&mut self, n: usize) {
+        let v = &mut self.0;
+        for _ in 0..n {
+            v[0] = v[0].wrapping_add(v[1]);
+            v[1] = v[1].rotate_left(13) ^ v[0];
+            v[0] = v[0].rotate_left(32);
+            v[2] = v[2].wrapping_add(v[3]);
+            v[3] = v[3].rotate_left(16) ^ v[2];
+            v[0] = v[0].wrapping_add(v[3]);
+            v[3] = v[3].rotate_left(21) ^ v[0];
+            v[2] = v[2].wrapping_add(v[1]);
+            v[1] = v[1].rotate_left(17) ^ v[2];
+            v[2] = v[2].rotate_left(32);
         }
     }
 
-    #[inline]
-    fn round(&mut self) {
-        let v = &mut self.v;
-        v[0] = v[0].wrapping_add(v[1]);
-        v[1] = v[1].rotate_left(13) ^ v[0];
-        v[0] = v[0].rotate_left(32);
-        v[2] = v[2].wrapping_add(v[3]);
-        v[3] = v[3].rotate_left(16) ^ v[2];
-        v[0] = v[0].wrapping_add(v[3]);
-        v[3] = v[3].rotate_left(21) ^ v[0];
-        v[2] = v[2].wrapping_add(v[1]);
-        v[1] = v[1].rotate_left(17) ^ v[2];
-        v[2] = v[2].rotate_left(32);
-    }
-
-    #[inline]
-    fn compress(&mut self, m: u64) {
-        self.v[3] ^= m;
-        self.round();
-        self.round();
-        self.v[0] ^= m;
-    }
-
-    #[inline]
     fn word(&mut self, m: u64) {
-        self.compress(m);
-        self.words += 1;
+        self.0[3] ^= m;
+        self.rounds(2);
+        self.0[0] ^= m;
+        self.1 += 1;
     }
 
     fn finish(mut self) -> u64 {
         // The closing block holds only the message length in bytes, mod 256.
-        self.compress(self.words.wrapping_mul(8) << 56);
-        self.v[2] ^= 0xff;
-        for _ in 0..4 {
-            self.round();
-        }
-        self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3]
+        self.word(self.1.wrapping_mul(8) << 56);
+        self.0[2] ^= 0xff;
+        self.rounds(4);
+        self.0.iter().fold(0, |h, v| h ^ v)
     }
 }
 
@@ -215,16 +180,14 @@ impl KeyTable {
     /// would be entered under.
     fn lookup(&self, key: &[KeyValue]) -> std::result::Result<KeyId, KeyId> {
         let mut id = KeyId::home(key);
-        if id.0 & HASHED == 0 {
-            return Ok(id);
-        }
-        loop {
+        while id.0 & HASHED != 0 {
             match self.0.get(&id) {
                 None => return Err(id),
-                Some(held) if **held == *key => return Ok(id),
+                Some(held) if **held == *key => break,
                 Some(_) => id = id.next_probe(),
             }
         }
+        Ok(id)
     }
 
     /// The id of `key`, entering it if it is new.
@@ -250,34 +213,21 @@ fn key_table() -> &'static RwLock<KeyTable> {
     TABLE.get_or_init(Default::default)
 }
 
-/// Ids of `keys`, entering unseen keys into the table: one read lock for
-/// the keys already known, one write lock for the rest. A key with a NULL
-/// component is refused — NULL keys never join (SQL semantics).
+/// Ids of `keys`: under a read lock when every key is known, else under
+/// one write lock that enters the new ones. A key with a NULL component is
+/// refused — NULL keys never join (SQL semantics).
 fn intern_keys(keys: Vec<Vec<KeyValue>>) -> Result<Vec<KeyId>> {
     if let Some(key) = keys.iter().find(|key| key.contains(&KeyValue::Null)) {
         return Err(SemiringError::NullKey(format!("{key:?}")));
     }
-    let mut ids = Vec::with_capacity(keys.len());
-    let mut unseen = Vec::new();
-    {
+    let known: Option<Vec<KeyId>> = {
         let table = key_table().read();
-        for (r, key) in keys.into_iter().enumerate() {
-            match table.lookup(&key) {
-                Ok(id) => ids.push(id),
-                Err(id) => {
-                    ids.push(id);
-                    unseen.push((r, key));
-                }
-            }
-        }
-    }
-    if !unseen.is_empty() {
+        keys.iter().map(|key| table.lookup(key).ok()).collect()
+    };
+    Ok(known.unwrap_or_else(|| {
         let mut table = key_table().write();
-        for (r, key) in unseen {
-            ids[r] = table.enter(key);
-        }
-    }
-    Ok(ids)
+        keys.into_iter().map(|key| table.enter(key)).collect()
+    }))
 }
 
 /// Per-key covariance triples in arena layout: row `r` holds the triple of
@@ -1168,15 +1118,15 @@ mod tests {
         use std::hash::Hasher;
         // The SipHash paper's key 00..0f over messages 00.. of whole words.
         let (k0, k1) = (0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);
-        assert_eq!(SipHash24::with_key(k0, k1).finish(), 0x726f_db47_dd0e_0e31);
-        let mut h = SipHash24::with_key(k0, k1);
+        assert_eq!(SipHash24::new((k0, k1)).finish(), 0x726f_db47_dd0e_0e31);
+        let mut h = SipHash24::new((k0, k1));
         h.word(0x0706_0504_0302_0100);
         assert_eq!(h.finish(), 0x93f5_f579_9a93_2462);
         let mut draw = Draw(3);
         for n in 0..40 {
             let (mut ours, mut reference) = (
-                SipHash24::new(),
-                std::hash::SipHasher::new_with_keys(SipHash24::K0, SipHash24::K1),
+                SipHash24::new(SIP_KEY),
+                std::hash::SipHasher::new_with_keys(SIP_KEY.0, SIP_KEY.1),
             );
             for _ in 0..n {
                 let w = draw.next();

@@ -7,7 +7,7 @@ use mileena_relation::{DatasetId, DatasetInterner, FxHashMap};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// Builder for a lazily-hydrated sketch. Invoked with `background = true`
 /// when the hydration was driven by a bulk drain (checkpoint, background
@@ -74,9 +74,10 @@ struct StoreInner {
 /// multi-requester usage pattern: many concurrent searches over one corpus.
 ///
 /// Sketches register as built: join-key ids are a fixed function of the
-/// key value, valid in every store and every process. Dataset ids come from the
-/// (by default process-global) [`DatasetInterner`], so a discovery index
-/// built independently hands out ids this store resolves directly.
+/// key value, valid in every store and every process. Dataset ids come
+/// from the (by default process-global) [`DatasetInterner`], so a
+/// discovery index built independently hands out ids this store resolves
+/// directly.
 #[derive(Debug, Clone)]
 pub struct SketchStore {
     inner: Arc<RwLock<StoreInner>>,
@@ -241,6 +242,32 @@ impl SketchStore {
             .values()
             .filter(|slot| matches!(slot, Slot::Pending(l) if l.cell.get().is_none()))
             .count()
+    }
+
+    /// Queue [`SketchStore::hydrate_pending`] for the process-wide
+    /// background hydrator: one long-lived thread that drains queued stores
+    /// in turn, skipping a store every handle has dropped meanwhile. A
+    /// thread per open drew its own malloc arena, so a loop of opens left
+    /// several arenas each holding a corpus' worth of freed pages.
+    pub fn hydrate_in_background(&self) {
+        type Job = Box<dyn FnOnce() + Send>;
+        static QUEUE: OnceLock<mpsc::Sender<Job>> = OnceLock::new();
+        let queue = QUEUE.get_or_init(|| {
+            let (tx, rx) = mpsc::channel::<Job>();
+            std::thread::Builder::new()
+                .name("mileena-hydrator".into())
+                .spawn(move || rx.into_iter().for_each(|job| job()))
+                .expect("spawn the background hydrator");
+            tx
+        });
+        let inner = Arc::downgrade(&self.inner);
+        let (dataset_ids, on_hydrate) =
+            (Arc::clone(&self.dataset_ids), Arc::clone(&self.on_hydrate));
+        let _ = queue.send(Box::new(move || {
+            if let Some(inner) = inner.upgrade() {
+                let _ = SketchStore { inner, dataset_ids, on_hydrate }.hydrate_pending();
+            }
+        }));
     }
 
     /// Hydrate every still-pending sketch (the background drain), name
@@ -518,6 +545,26 @@ mod tests {
         store.get("held").unwrap();
         assert!(held.upgrade().is_none(), "the filled slot still holds the payload");
         assert_eq!(store.get("held").unwrap().name, "held");
+    }
+
+    #[test]
+    fn queued_stores_hydrate_on_the_background_thread() {
+        use std::sync::atomic::AtomicUsize;
+        let builds = Arc::new(AtomicUsize::new(0));
+        let stores: Vec<SketchStore> = (0..3)
+            .map(|i| {
+                let store = SketchStore::new();
+                store.register_lazy(&format!("bg{i}"), lazy(&format!("bg{i}"), &builds)).unwrap();
+                store.hydrate_in_background();
+                store
+            })
+            .collect();
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while stores.iter().any(|s| s.unhydrated() > 0) && std::time::Instant::now() < give_up {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(stores.iter().all(|s| s.unhydrated() == 0));
+        assert_eq!(builds.load(Ordering::SeqCst), 3);
     }
 
     #[test]
