@@ -246,9 +246,10 @@ impl SketchStore {
 
     /// Queue [`SketchStore::hydrate_pending`] for the process-wide
     /// background hydrator: one long-lived thread that drains queued stores
-    /// in turn, skipping a store every handle has dropped meanwhile. A
-    /// thread per open drew its own malloc arena, so a loop of opens left
-    /// several arenas each holding a corpus' worth of freed pages.
+    /// in turn, skipping a store every handle has dropped meanwhile. One
+    /// thread, not one per open: each thread draws its own malloc arena, and
+    /// a loop of opens would leave several arenas each holding a corpus'
+    /// worth of freed pages.
     pub fn hydrate_in_background(&self) {
         type Job = Box<dyn FnOnce() + Send>;
         static QUEUE: OnceLock<mpsc::Sender<Job>> = OnceLock::new();
