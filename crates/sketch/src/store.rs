@@ -257,7 +257,13 @@ impl SketchStore {
             let (tx, rx) = mpsc::channel::<Job>();
             std::thread::Builder::new()
                 .name("mileena-hydrator".into())
-                .spawn(move || rx.into_iter().for_each(|job| job()))
+                // A panicking build must not end hydration for every later
+                // open in the process.
+                .spawn(move || {
+                    for job in rx {
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                    }
+                })
                 .expect("spawn the background hydrator");
             tx
         });
@@ -566,6 +572,18 @@ mod tests {
         }
         assert!(stores.iter().all(|s| s.unhydrated() == 0));
         assert_eq!(builds.load(Ordering::SeqCst), 3);
+
+        // A panicking build does not end background hydration.
+        let broken = SketchStore::new();
+        broken.register_lazy("bg-panics", Box::new(|_| panic!("a broken builder"))).unwrap();
+        broken.hydrate_in_background();
+        let after = SketchStore::new();
+        after.register_lazy("bg-after", lazy("bg-after", &builds)).unwrap();
+        after.hydrate_in_background();
+        while after.unhydrated() > 0 && std::time::Instant::now() < give_up {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!((after.unhydrated(), broken.unhydrated()), (0, 1));
     }
 
     #[test]
