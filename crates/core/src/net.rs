@@ -5,10 +5,23 @@
 //!
 //! **Framing.** Every message is a 4-byte big-endian length prefix
 //! followed by that many bytes of JSON — a [`ClientFrame`] client→server,
-//! a [`ServerFrame`] server→client. A frame longer than the configured
-//! `max_frame` is rejected with a typed [`ServerFrame::Error`] and the
-//! connection is closed (the peer is either broken or hostile; resyncing a
-//! corrupt length prefix is not worth guessing at).
+//! a [`ServerFrame`] server→client. A frame holds its typed envelope
+//! itself, so there is one JSON layer per frame: each side serializes a
+//! message once, in `encode_frame`, and parses it once, in
+//! `decode_payload`. The parser refuses arrays and objects nested deeper
+//! than [`serde_json::MAX_DEPTH`] (128), so a small hostile frame cannot
+//! overflow a connection thread's stack. A frame that does not decode,
+//! such as one in the older layout that nested each envelope as a JSON
+//! string (`{"Register":{"json":"…"}}`), is answered with a typed
+//! `Malformed` [`ServerFrame::Error`], and the connection keeps serving. A
+//! frame longer than the configured `max_frame` gets the same error and
+//! the connection is closed (the peer is either broken or hostile;
+//! resyncing a corrupt length prefix is not worth guessing at).
+//!
+//! **Versions.** Envelopes keep their `v` field. The server entry points
+//! ([`wire_register`], [`wire_admin`], [`wire_submit`]) check it and
+//! answer a version they do not speak with a typed `UnsupportedVersion`
+//! response; the client checks the `v` of every streamed event.
 //!
 //! **Server shape.** The accept thread blocks in `accept`, each
 //! connection's thread blocks in `read`, and each in-flight search has one
@@ -27,13 +40,19 @@
 //! its connection, which the server treats as a cancel.
 //!
 //! [`JsonWire`]: crate::service::JsonWire
+//! [`wire_register`]: crate::service::wire_register
+//! [`wire_admin`]: crate::service::wire_admin
+//! [`wire_submit`]: crate::service::wire_submit
 
 use crate::error::{CoreError, Result};
 use crate::service::{
-    encode_envelope, unexpected, wire_admin, wire_register, wire_submit, FrameSource, Opened,
-    PlatformService, SearchSession, WireLink, WireSession,
+    refusal, wire_admin, wire_register, wire_submit, FrameSource, PlatformService, SearchSession,
+    WireLink, WireSession,
 };
-use crate::wire::{ErrorCode, SearchReply, WireError};
+use crate::wire::{
+    ErrorCode, SearchReply, WireAdminRequest, WireAdminResponse, WireError, WireEvent,
+    WireRegisterRequest, WireRegisterResponse, WireSearchRequest, WireSearchResponse,
+};
 use mileena_obs::{Metrics, SlowSearchLog};
 use mileena_search::SearchControl;
 use serde::{Deserialize, Serialize};
@@ -45,27 +64,20 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Client→server frames. The JSON payloads inside `Register`/`Admin`/
-/// `Submit` are the versioned wire envelopes of [`crate::wire`], unchanged
-/// — framing adds transport, not schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Client→server frames: the versioned request envelopes of
+/// [`crate::wire`] themselves. Framing adds transport, not schema.
+// Variant sizes are lopsided, but a frame is transient, never stored in
+// bulk; boxing would need `Box` support in the in-tree serde shim.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClientFrame {
-    /// A serialized [`WireRegisterRequest`].
-    Register {
-        /// The envelope JSON.
-        json: String,
-    },
-    /// A serialized [`WireAdminRequest`].
-    Admin {
-        /// The envelope JSON.
-        json: String,
-    },
-    /// A serialized [`WireSearchRequest`]; answered by
-    /// [`ServerFrame::Accepted`] then a stream of events and one result.
-    Submit {
-        /// The envelope JSON.
-        json: String,
-    },
+    /// A provider upload; answered by [`ServerFrame::Registered`].
+    Register(WireRegisterRequest),
+    /// An admin operation; answered by [`ServerFrame::AdminReply`].
+    Admin(WireAdminRequest),
+    /// A search; answered by [`ServerFrame::Accepted`], then a stream of
+    /// events and one result.
+    Submit(WireSearchRequest),
     /// Cooperatively cancel an accepted session on this connection.
     Cancel {
         /// The session id from [`ServerFrame::Accepted`].
@@ -73,44 +85,36 @@ pub enum ClientFrame {
     },
 }
 
-/// Server→client frames.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Server→client frames: the versioned response envelopes of
+/// [`crate::wire`] themselves.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerFrame {
-    /// Response envelope for `Register`/`Admin` (a serialized
-    /// [`WireRegisterResponse`] / [`WireAdminResponse`]).
-    Reply {
-        /// The envelope JSON.
-        json: String,
-    },
+    /// The response to a `Register`.
+    Registered(WireRegisterResponse),
+    /// The response to an `Admin`.
+    AdminReply(WireAdminResponse),
     /// A submit was admitted; events and the result follow, tagged with
     /// this session id.
     Accepted {
         /// Platform-assigned session id.
         session: u64,
     },
-    /// A streamed [`WireEvent`] envelope for an accepted session.
-    Event {
-        /// The session the event belongs to.
-        session: u64,
-        /// The envelope JSON.
-        json: String,
-    },
-    /// The final [`WireSearchResponse`] envelope for a session. A submit
-    /// that was rejected outright (overload, shard down, malformed) is a
-    /// `Result` with `session: 0` and the error envelope.
+    /// A streamed progress event of an accepted session; the envelope
+    /// names the session.
+    Event(WireEvent),
+    /// The final response of a session. A submit that was rejected
+    /// outright (overload, shard down, wrong version) is a `Result` with
+    /// `session: 0` and the error response.
     Result {
         /// The session the response closes (0 = rejected at submit).
         session: u64,
-        /// The envelope JSON.
-        json: String,
+        /// The response envelope.
+        response: WireSearchResponse,
     },
-    /// Framing-level failure (oversized or undecodable frame): a
-    /// serialized [`WireError`]. Oversized frames also close the
-    /// connection.
-    Error {
-        /// The serialized [`WireError`].
-        json: String,
-    },
+    /// A frame that could not be served: undecodable, or oversized (which
+    /// also closes the connection).
+    Error(WireError),
 }
 
 /// TCP transport tuning.
@@ -134,18 +138,35 @@ impl Default for TcpServerConfig {
     }
 }
 
-fn encode_frame<T: Serialize>(frame: &T) -> Vec<u8> {
-    let payload = encode_envelope(frame).into_bytes();
+/// Encode a frame: the length prefix, then its one JSON document. Should
+/// serialization ever fail, the frame sent is a typed `Internal`
+/// [`ServerFrame::Error`], never an empty or untyped message.
+pub(crate) fn encode_frame<T: Serialize>(frame: &T) -> Vec<u8> {
+    let payload = serde_json::to_string(frame).unwrap_or_else(|e| {
+        let fallback =
+            ServerFrame::Error(WireError::new(ErrorCode::Internal, format!("encode: {e}")));
+        serde_json::to_string(&fallback).expect("an error frame of strings always serializes")
+    });
     let mut buf = Vec::with_capacity(4 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(payload.as_bytes());
     buf
 }
 
-/// Decode a frame payload (UTF-8 JSON bytes) into `T`.
-fn decode_payload<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> std::result::Result<T, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
+/// Decode a frame payload (UTF-8 JSON bytes); an undecodable one is a
+/// typed `Malformed` error.
+pub(crate) fn decode_payload<T: for<'de> Deserialize<'de>>(
+    payload: &[u8],
+) -> std::result::Result<T, WireError> {
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string());
+    text.and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|e| WireError::new(ErrorCode::Malformed, format!("undecodable frame: {e}")))
+}
+
+/// `frame` as the peer reads it, after the encoder and decoder every
+/// socket frame passes through.
+pub(crate) fn across<T: Serialize + for<'de> Deserialize<'de>>(frame: &T) -> Result<T> {
+    decode_payload(&encode_frame(frame)[4..]).map_err(WireError::into_core)
 }
 
 fn write_frame<T: Serialize>(mut stream: impl Write, frame: &T) -> std::io::Result<()> {
@@ -153,32 +174,29 @@ fn write_frame<T: Serialize>(mut stream: impl Write, frame: &T) -> std::io::Resu
 }
 
 /// Blocking frame read (client side): length prefix, then payload.
-fn read_frame<T: for<'de> Deserialize<'de>>(mut stream: impl Read) -> Result<T> {
+fn read_frame(mut stream: impl Read) -> Result<ServerFrame> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(|e| CoreError::Service(format!("tcp read: {e}")))?;
     let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_FRAME {
-        return Err(CoreError::Wire {
-            code: ErrorCode::Malformed,
-            message: format!("peer announced a {len}-byte frame (max {MAX_FRAME})"),
-        });
+        let message = format!("peer announced a {len}-byte frame (max {MAX_FRAME})");
+        return Err(WireError::new(ErrorCode::Malformed, message).into_core());
     }
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload).map_err(|e| CoreError::Service(format!("tcp read: {e}")))?;
-    decode_payload(&payload).map_err(|e| CoreError::Wire {
-        code: ErrorCode::Malformed,
-        message: format!("decode frame: {e}"),
-    })
+    decode_payload(&payload).map_err(WireError::into_core)
 }
 
 /// What the incremental parser pulled out of the connection buffer.
+#[allow(clippy::large_enum_variant)] // transient, like the frame it holds
+#[derive(Debug)]
 enum Parsed {
     /// A complete, decoded client frame.
     Frame(ClientFrame),
-    /// A complete frame that wasn't valid [`ClientFrame`] JSON.
-    Garbage(String),
+    /// A complete frame that wasn't a valid [`ClientFrame`].
+    Garbage(WireError),
     /// The announced length exceeds the limit: reply typed, close.
-    Oversized(usize),
+    Oversized(WireError),
     /// Not enough buffered bytes yet.
     Incomplete,
 }
@@ -191,13 +209,14 @@ fn parse_frame(buf: &mut Vec<u8>, max_frame: usize) -> Parsed {
     }
     let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
     if len > max_frame {
-        return Parsed::Oversized(len);
+        let message = format!("frame of {len} bytes exceeds the {max_frame}-byte limit");
+        return Parsed::Oversized(WireError::new(ErrorCode::Malformed, message));
     }
     if buf.len() < 4 + len {
         return Parsed::Incomplete;
     }
     let payload: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
-    match decode_payload::<ClientFrame>(&payload) {
+    match decode_payload(&payload) {
         Ok(frame) => Parsed::Frame(frame),
         Err(e) => Parsed::Garbage(e),
     }
@@ -314,19 +333,16 @@ struct Conn {
 }
 
 impl Conn {
-    /// Write one frame; `false` once the socket is dead.
+    /// Write one frame; `false` once the socket is dead. The frame is
+    /// encoded before the lock is taken, so encoding a large result does
+    /// not hold up the reply to the next call on this connection.
     fn send(&self, frame: &ServerFrame) -> bool {
         if let Some(m) = &self.metrics {
             m.net_frames_out.inc();
         }
+        let bytes = encode_frame(frame);
         let _writing = self.writing.lock().unwrap_or_else(|e| e.into_inner());
-        write_frame(&self.stream, frame).is_ok()
-    }
-
-    /// Answer a frame that could not be served with a typed `Malformed`.
-    fn send_malformed(&self, message: String) -> bool {
-        let json = encode_envelope(&WireError::new(ErrorCode::Malformed, message));
-        self.send(&ServerFrame::Error { json })
+        (&self.stream).write_all(&bytes).is_ok()
     }
 
     fn sessions(&self) -> MutexGuard<'_, HashMap<u64, SearchControl>> {
@@ -363,14 +379,12 @@ fn serve_connection(
         loop {
             match parse_frame(&mut buf, max_frame) {
                 Parsed::Incomplete => break,
-                Parsed::Oversized(len) => {
-                    conn.send_malformed(format!(
-                        "frame of {len} bytes exceeds the {max_frame}-byte limit"
-                    ));
+                Parsed::Oversized(error) => {
+                    conn.send(&ServerFrame::Error(error));
                     break 'conn false;
                 }
-                Parsed::Garbage(detail) => {
-                    if !conn.send_malformed(format!("undecodable frame: {detail}")) {
+                Parsed::Garbage(error) => {
+                    if !conn.send(&ServerFrame::Error(error)) {
                         break 'conn true;
                     }
                 }
@@ -419,13 +433,13 @@ fn handle_frame(
         }
     };
     match frame {
-        ClientFrame::Register { json } => {
+        ClientFrame::Register(request) => {
             count(|m| &m.requests_register);
-            conn.send(&ServerFrame::Reply { json: wire_register(service, &json) })
+            conn.send(&ServerFrame::Registered(wire_register(service, request)))
         }
-        ClientFrame::Admin { json } => {
+        ClientFrame::Admin(request) => {
             count(|m| &m.requests_admin);
-            conn.send(&ServerFrame::Reply { json: wire_admin(service, &json) })
+            conn.send(&ServerFrame::AdminReply(wire_admin(service, request)))
         }
         ClientFrame::Cancel { session } => {
             count(|m| &m.requests_cancel);
@@ -434,11 +448,11 @@ fn handle_frame(
             }
             true
         }
-        ClientFrame::Submit { json } => {
+        ClientFrame::Submit(request) => {
             count(|m| &m.requests_submit);
-            let session = match wire_submit(service, &json) {
+            let session = match wire_submit(service, request) {
                 Ok(session) => session,
-                Err(json) => return conn.send(&ServerFrame::Result { session: 0, json }),
+                Err(response) => return conn.send(&ServerFrame::Result { session: 0, response }),
             };
             conn.sessions().insert(session.id, session.control.clone());
             if !conn.send(&ServerFrame::Accepted { session: session.id }) {
@@ -456,10 +470,10 @@ fn handle_frame(
 /// connection.
 fn forward(conn: &Conn, session: &WireSession) {
     let id = session.id;
-    while let Some(json) = session.next_event() {
+    while let Some(event) = session.next_event() {
         // A dead socket stops the events; the response is still awaited
         // below, so the session runs to its end.
-        if !conn.send(&ServerFrame::Event { session: id, json }) {
+        if !conn.send(&ServerFrame::Event(event)) {
             break;
         }
     }
@@ -467,7 +481,7 @@ fn forward(conn: &Conn, session: &WireSession) {
     if let Some(reply) = &response.ok {
         maybe_log_slow(conn, id, reply);
     }
-    conn.send(&ServerFrame::Result { session: id, json: encode_envelope(&response) });
+    conn.send(&ServerFrame::Result { session: id, response });
     conn.sessions().remove(&id);
 }
 
@@ -596,26 +610,23 @@ impl TcpWire {
 }
 
 impl WireLink for TcpWire {
-    fn call(&self, frame: ClientFrame) -> Result<String> {
-        match self.exchange(&frame)? {
-            (stream, ServerFrame::Reply { json }) => {
-                check_in(&self.pool, stream);
-                Ok(json)
-            }
-            (_, other) => Err(unexpected(other, "reply")),
+    fn call(&self, frame: ClientFrame) -> Result<ServerFrame> {
+        let (stream, reply) = self.exchange(&frame)?;
+        if let ServerFrame::Registered(_) | ServerFrame::AdminReply(_) = reply {
+            check_in(&self.pool, stream);
         }
+        Ok(reply)
     }
 
-    fn open(&self, request_json: String) -> Result<Opened> {
-        match self.exchange(&ClientFrame::Submit { json: request_json })? {
-            (stream, ServerFrame::Accepted { session }) => {
-                Ok(Opened::Session(self.session(stream, session)))
+    fn open(&self, request: WireSearchRequest) -> Result<SearchSession> {
+        match self.exchange(&ClientFrame::Submit(request))? {
+            (stream, ServerFrame::Accepted { session }) => Ok(self.session(stream, session)),
+            (stream, refused) => {
+                if let ServerFrame::Result { .. } = refused {
+                    check_in(&self.pool, stream);
+                }
+                Err(refusal(refused))
             }
-            (stream, ServerFrame::Result { json, .. }) => {
-                check_in(&self.pool, stream);
-                Ok(Opened::Rejected(json))
-            }
-            (_, other) => Err(unexpected(other, "submit")),
         }
     }
 }
@@ -645,5 +656,75 @@ impl FrameSource for TcpSession {
             }
         }
         Ok(frame)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{AdminOp, WIRE_VERSION};
+    use crate::LocalDataStore;
+    use mileena_relation::RelationBuilder;
+
+    fn small_frames() -> Vec<ClientFrame> {
+        let tiny = RelationBuilder::new("tiny")
+            .int_col("zone", &[1, 2])
+            .float_col("f", &[0.5, -0.25])
+            .build()
+            .unwrap();
+        let upload = LocalDataStore::new(tiny).prepare_upload(None, 1).unwrap();
+        vec![
+            ClientFrame::Admin(WireAdminRequest { v: WIRE_VERSION, op: AdminOp::Stats }),
+            ClientFrame::Register(WireRegisterRequest { v: WIRE_VERSION, upload }),
+        ]
+    }
+
+    fn parse_all(mut bytes: Vec<u8>, max_frame: usize) -> Parsed {
+        parse_frame(&mut bytes, max_frame)
+    }
+
+    #[test]
+    fn frames_cross_the_codec_unchanged() {
+        for frame in small_frames() {
+            assert_eq!(across(&frame).unwrap(), frame);
+            match parse_all(encode_frame(&frame), MAX_FRAME) {
+                Parsed::Frame(parsed) => assert_eq!(parsed, frame),
+                other => panic!("a whole frame parsed as {other:?}"),
+            }
+        }
+    }
+
+    /// Every truncation and every single-byte flip of a small frame comes
+    /// back as one of the parser's outcomes, never as a panic.
+    #[test]
+    fn truncated_and_flipped_frames_parse_or_fail_typed() {
+        for frame in small_frames() {
+            let bytes = encode_frame(&frame);
+            let payload = &bytes[4..];
+            for cut in 0..bytes.len() {
+                // The prefix still announces the whole frame: wait for it.
+                let parsed = parse_all(bytes[..cut].to_vec(), MAX_FRAME);
+                assert!(matches!(parsed, Parsed::Incomplete), "cut at {cut}: {parsed:?}");
+            }
+            for cut in 0..payload.len() {
+                // A truncated document under a prefix that matches it.
+                let mut reframed = (cut as u32).to_be_bytes().to_vec();
+                reframed.extend_from_slice(&payload[..cut]);
+                let parsed = parse_all(reframed, MAX_FRAME);
+                assert!(matches!(parsed, Parsed::Garbage(_)), "cut at {cut}: {parsed:?}");
+            }
+            for at in 0..bytes.len() {
+                // Every byte inverted, and its lowest bit alone flipped.
+                for mask in [0xFF, 0x01] {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= mask;
+                    match parse_all(flipped, bytes.len()) {
+                        Parsed::Garbage(e) => assert_eq!(e.code, ErrorCode::Malformed),
+                        Parsed::Incomplete | Parsed::Oversized(_) => assert!(at < 4),
+                        Parsed::Frame(_) => {}
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,17 +9,19 @@
 //! of [`crate::wire`]; no raw relation can cross, as the request body type
 //! is [`SketchedRequest`].
 //!
-//! The wire clients share one codec. Its server half is [`wire_register`],
-//! [`wire_admin`] and [`wire_submit`], whose [`WireSession`] encodes a
-//! running search one envelope at a time. Its client half is the one
-//! [`PlatformService`] impl every wire link gets. A link only moves
-//! envelopes (`JsonWire` by direct call, `TcpWire` over a socket), and
-//! neither spawns a thread: a wire session decodes on the thread that
-//! waits on it.
+//! The wire clients share one protocol. Its server half is
+//! [`wire_register`], [`wire_admin`] and [`wire_submit`], which take typed
+//! request envelopes, check their version and answer with typed response
+//! envelopes; [`WireSession`] yields a running search's events one
+//! [`WireEvent`] at a time. Its client half is the one [`PlatformService`]
+//! impl every wire link gets. A link only moves frames (`JsonWire` by
+//! direct call, `TcpWire` over a socket), and both pass every frame through
+//! the one frame codec of [`crate::net`]. Neither spawns a thread: a wire
+//! session decodes on the thread that waits on it.
 
 use crate::error::{CoreError, Result};
 use crate::local::ProviderUpload;
-use crate::net::{ClientFrame, ServerFrame};
+use crate::net::{across, ClientFrame, ServerFrame};
 use crate::platform::{CentralPlatform, Layout, Platform};
 use crate::wire::{
     AdminOp, AdminReply, CheckpointReceipt, ErrorCode, PlatformStats, RegisterReceipt, SearchReply,
@@ -28,7 +30,6 @@ use crate::wire::{
 };
 use mileena_obs::{Metrics, MetricsReport};
 use mileena_search::{SearchConfig, SearchControl, SearchEvent, SketchedRequest};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -235,25 +236,6 @@ impl PlatformService for InProcess {
     }
 }
 
-/// Serialize an envelope or a frame. Should that ever fail, the peer gets
-/// a typed `Internal` error in the `{v, ok: null, err}` shape every
-/// response envelope shares, never an empty or untyped message.
-pub(crate) fn encode_envelope<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|e| {
-        let fallback = WireSearchResponse::err(ErrorCode::Internal, format!("encode: {e}"));
-        serde_json::to_string(&fallback).expect("an envelope of strings always serializes")
-    })
-}
-
-/// Decode an envelope; a parse failure is a typed `Malformed` error naming
-/// `what` was being decoded.
-pub(crate) fn decode<T: for<'de> Deserialize<'de>>(json: &str, what: &str) -> Result<T> {
-    serde_json::from_str(json).map_err(|e| CoreError::Wire {
-        code: ErrorCode::Malformed,
-        message: format!("decode {what}: {e}"),
-    })
-}
-
 /// Where a wire client pulls a session's [`ServerFrame`]s from: a socket
 /// ([`crate::TcpWire`]) or a [`WireSession`] in the same process
 /// ([`JsonWire`]).
@@ -262,21 +244,33 @@ pub(crate) trait FrameSource: Send + std::fmt::Debug {
     fn next_frame(&mut self) -> Result<ServerFrame>;
 }
 
-/// A frame where the protocol does not allow it: a framing `Error`
-/// decodes to its typed error, anything else is `Malformed`.
+/// A typed `Malformed` error.
+fn malformed(message: String) -> CoreError {
+    WireError::new(ErrorCode::Malformed, message).into_core()
+}
+
+/// A frame where the protocol does not allow it: an `Error` frame is its
+/// typed error, anything else is `Malformed`.
 pub(crate) fn unexpected(frame: ServerFrame, position: &str) -> CoreError {
     match frame {
-        ServerFrame::Error { json } => {
-            decode::<WireError>(&json, "error frame").map_or_else(|e| e, WireError::into_core)
-        }
-        other => CoreError::Wire {
-            code: ErrorCode::Malformed,
-            message: format!("unexpected frame in {position} position: {other:?}"),
-        },
+        ServerFrame::Error(error) => error.into_core(),
+        other => malformed(format!("unexpected frame in {position} position: {other:?}")),
     }
 }
 
-/// The client half of a session: typed values out of envelopes.
+/// Why the server refused a submit, from the frame that answered it in
+/// place of `Accepted`; retry hints and shard ids survive intact.
+pub(crate) fn refusal(frame: ServerFrame) -> CoreError {
+    match frame {
+        ServerFrame::Result { response, .. } => response
+            .into_result()
+            .err()
+            .unwrap_or_else(|| malformed("submit rejected without an error".into())),
+        other => unexpected(other, "submit"),
+    }
+}
+
+/// The client half of a session: typed values out of frames.
 #[derive(Debug)]
 struct WireDecoder {
     source: Box<dyn FrameSource>,
@@ -290,18 +284,14 @@ impl WireDecoder {
             return None;
         }
         let reply = match self.source.next_frame() {
-            Ok(ServerFrame::Event { json, .. }) => match decode::<WireEvent>(&json, "event") {
-                Ok(envelope) if envelope.v == WIRE_VERSION => return Some(envelope.event),
-                Ok(envelope) => Err(CoreError::Wire {
-                    code: ErrorCode::UnsupportedVersion,
-                    message: format!("client speaks v{WIRE_VERSION}, event is v{}", envelope.v),
-                }),
-                Err(e) => Err(e),
-            },
-            Ok(ServerFrame::Result { json, .. }) => {
-                decode::<WireSearchResponse>(&json, "search response")
-                    .and_then(WireSearchResponse::into_result)
+            Ok(ServerFrame::Event(envelope)) if envelope.v == WIRE_VERSION => {
+                return Some(envelope.event)
             }
+            Ok(ServerFrame::Event(envelope)) => Err(CoreError::Wire {
+                code: ErrorCode::UnsupportedVersion,
+                message: format!("client speaks v{WIRE_VERSION}, event is v{}", envelope.v),
+            }),
+            Ok(ServerFrame::Result { response, .. }) => response.into_result(),
             Ok(other) => Err(unexpected(other, "mid-session")),
             Err(e) => Err(e),
         };
@@ -315,37 +305,28 @@ impl WireDecoder {
     }
 }
 
-/// How a wire client reaches a server, and nothing more: requests go out,
-/// response envelopes come back. Every link is a [`PlatformService`]
-/// through the one codec below.
+/// How a wire client reaches a server, and nothing more: request frames go
+/// out, response frames come back. Every link is a [`PlatformService`]
+/// through the one impl below.
 pub(crate) trait WireLink {
-    /// Carry a `Register` or `Admin` frame; the response envelope.
-    fn call(&self, frame: ClientFrame) -> Result<String>;
-    /// Carry a search request envelope.
-    fn open(&self, request_json: String) -> Result<Opened>;
-}
-
-/// What a link's [`WireLink::open`] got back.
-pub(crate) enum Opened {
-    /// The server admitted the search.
-    Session(SearchSession),
-    /// The server refused it: the serialized error response.
-    Rejected(String),
+    /// Carry a `Register` or `Admin` frame; the frame that answers it.
+    fn call(&self, frame: ClientFrame) -> Result<ServerFrame>;
+    /// Carry a `Submit` frame; the admitted session, or why the server
+    /// refused it.
+    fn open(&self, request: WireSearchRequest) -> Result<SearchSession>;
 }
 
 /// A reply of the wrong kind to an admin request.
 fn mismatched(op: &str) -> CoreError {
-    CoreError::Wire {
-        code: ErrorCode::Malformed,
-        message: format!("mismatched reply to a {op} request"),
-    }
+    malformed(format!("mismatched reply to a {op} request"))
 }
 
 impl<L: WireLink> PlatformService for L {
     fn register(&self, upload: ProviderUpload) -> Result<()> {
-        let json = encode_envelope(&WireRegisterRequest { v: WIRE_VERSION, upload });
-        let response = self.call(ClientFrame::Register { json })?;
-        decode::<WireRegisterResponse>(&response, "register response")?.into_result().map(|_| ())
+        match self.call(ClientFrame::Register(WireRegisterRequest { v: WIRE_VERSION, upload }))? {
+            ServerFrame::Registered(response) => response.into_result().map(|_| ()),
+            other => Err(unexpected(other, "register reply")),
+        }
     }
 
     fn submit(
@@ -362,19 +343,7 @@ impl<L: WireLink> PlatformService for L {
         config: Option<SearchConfig>,
         request_id: Option<u64>,
     ) -> Result<SearchSession> {
-        let json =
-            encode_envelope(&WireSearchRequest { v: WIRE_VERSION, request, config, request_id });
-        match self.open(json)? {
-            Opened::Session(session) => Ok(session),
-            // Overloaded retry hints and shard ids survive intact.
-            Opened::Rejected(json) => Err(decode::<WireSearchResponse>(&json, "submit rejection")?
-                .into_result()
-                .err()
-                .unwrap_or_else(|| CoreError::Wire {
-                    code: ErrorCode::Malformed,
-                    message: "submit rejected without an error".into(),
-                })),
-        }
+        self.open(WireSearchRequest { v: WIRE_VERSION, request, config, request_id })
     }
 
     fn num_datasets(&self) -> usize {
@@ -405,15 +374,16 @@ impl<L: WireLink> PlatformService for L {
 
 /// Ship one admin op over a link.
 fn admin(link: &impl WireLink, op: AdminOp) -> Result<AdminReply> {
-    let json = encode_envelope(&WireAdminRequest { v: WIRE_VERSION, op });
-    decode::<WireAdminResponse>(&link.call(ClientFrame::Admin { json })?, "admin response")?
-        .into_result()
+    match link.call(ClientFrame::Admin(WireAdminRequest { v: WIRE_VERSION, op }))? {
+        ServerFrame::AdminReply(response) => response.into_result(),
+        other => Err(unexpected(other, "admin reply")),
+    }
 }
 
-/// Wire transport without a socket: every message round-trips through the
-/// versioned JSON protocol, exactly as a networked frontend carries it,
-/// but the envelopes are handed straight to the server entry points, so
-/// tests and benches exercise the full serialization path in-process.
+/// Wire transport without a socket: every frame passes through the same
+/// encoder and decoder [`crate::TcpWire`] and [`crate::TcpServer`] use, in
+/// both directions, and reaches the same server entry points, so tests and
+/// benches exercise the full serialization path in-process.
 #[derive(Debug, Clone)]
 pub struct JsonWire {
     platform: Arc<CentralPlatform>,
@@ -427,33 +397,36 @@ impl JsonWire {
 }
 
 impl WireLink for JsonWire {
-    fn call(&self, frame: ClientFrame) -> Result<String> {
-        match frame {
-            ClientFrame::Register { json } => Ok(wire_register(&*self.platform, &json)),
-            ClientFrame::Admin { json } => Ok(wire_admin(&*self.platform, &json)),
-            other => Err(CoreError::Wire {
-                code: ErrorCode::Malformed,
-                message: format!("{other:?} is not a request/response frame"),
-            }),
-        }
+    fn call(&self, frame: ClientFrame) -> Result<ServerFrame> {
+        let platform = &*self.platform;
+        let reply = match across(&frame)? {
+            ClientFrame::Register(request) => {
+                ServerFrame::Registered(wire_register(platform, request))
+            }
+            ClientFrame::Admin(request) => ServerFrame::AdminReply(wire_admin(platform, request)),
+            other => return Err(malformed(format!("{other:?} is not a request/response frame"))),
+        };
+        across(&reply)
     }
 
-    fn open(&self, request_json: String) -> Result<Opened> {
-        Ok(match wire_submit(&*self.platform, &request_json) {
-            Ok(session) => Opened::Session(SearchSession::over_wire(
-                session.id,
-                session.control.clone(),
-                session,
-            )),
-            Err(rejection) => Opened::Rejected(rejection),
-        })
+    fn open(&self, request: WireSearchRequest) -> Result<SearchSession> {
+        let request = match across(&ClientFrame::Submit(request))? {
+            ClientFrame::Submit(request) => request,
+            other => return Err(malformed(format!("{other:?} is not a submit frame"))),
+        };
+        match wire_submit(&*self.platform, request) {
+            Ok(session) => {
+                Ok(SearchSession::over_wire(session.id, session.control.clone(), session))
+            }
+            Err(response) => Err(refusal(across(&ServerFrame::Result { session: 0, response })?)),
+        }
     }
 }
 
-/// Server side of a wire-transport session: a pull-based encoder over the
-/// typed [`SearchSession`]. Whoever moves the bytes (the TCP server's
-/// forwarder, or [`JsonWire`] on the waiting thread) pulls serialized
-/// events one at a time, then the final response.
+/// Server side of a wire-transport session: a pull-based source of
+/// envelopes over the typed [`SearchSession`]. Whoever moves the frames
+/// (the TCP server's forwarder, or [`JsonWire`] on the waiting thread)
+/// pulls events one at a time, then the final response.
 #[derive(Debug)]
 pub struct WireSession {
     /// Platform-assigned session id.
@@ -465,11 +438,11 @@ pub struct WireSession {
 }
 
 impl WireSession {
-    /// The next serialized [`WireEvent`] envelope, blocking; `None` once
-    /// the event stream ends.
-    pub fn next_event(&self) -> Option<String> {
+    /// The next [`WireEvent`] envelope, blocking; `None` once the event
+    /// stream ends.
+    pub fn next_event(&self) -> Option<WireEvent> {
         let event = self.session.next_event()?;
-        Some(encode_envelope(&WireEvent { v: WIRE_VERSION, session: self.id, event }))
+        Some(WireEvent { v: WIRE_VERSION, session: self.id, event })
     }
 
     /// Block for the final response, skipping events not pulled yet.
@@ -486,92 +459,84 @@ impl WireSession {
     }
 }
 
+/// [`JsonWire`]'s session frames, each passed through the frame codec.
 impl FrameSource for WireSession {
     fn next_frame(&mut self) -> Result<ServerFrame> {
-        let session = self.id;
-        Ok(match self.next_event() {
-            Some(json) => ServerFrame::Event { session, json },
-            None => ServerFrame::Result { session, json: encode_envelope(&self.finish()) },
+        across(&match self.next_event() {
+            Some(event) => ServerFrame::Event(event),
+            None => ServerFrame::Result { session: self.id, response: self.finish() },
         })
     }
 }
 
-/// Parse a request envelope and check its protocol version; on failure,
-/// the code and message of the error response.
-fn parse_request<T: for<'de> Deserialize<'de>>(
-    json: &str,
-    version: fn(&T) -> u32,
-) -> std::result::Result<T, (ErrorCode, String)> {
-    let req = serde_json::from_str(json).map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
-    match version(&req) {
-        WIRE_VERSION => Ok(req),
-        v => Err((
-            ErrorCode::UnsupportedVersion,
-            format!("server speaks v{WIRE_VERSION}, request is v{v}"),
-        )),
+/// The version check of a request envelope: for a version this server
+/// does not speak, the message of its typed `UnsupportedVersion` refusal.
+fn unsupported(v: u32) -> Option<String> {
+    (v != WIRE_VERSION).then(|| format!("server speaks v{WIRE_VERSION}, request is v{v}"))
+}
+
+/// Server entry point for registration over the wire: check the version,
+/// execute against any [`PlatformService`]; always answers with a
+/// [`WireRegisterResponse`].
+pub fn wire_register(
+    service: &(impl PlatformService + ?Sized),
+    request: WireRegisterRequest,
+) -> WireRegisterResponse {
+    if let Some(message) = unsupported(request.v) {
+        return WireRegisterResponse::err(ErrorCode::UnsupportedVersion, message);
+    }
+    let dataset = request.upload.sketch.name.clone();
+    match service.register(request.upload) {
+        Ok(()) => WireRegisterResponse::ok(RegisterReceipt {
+            dataset,
+            datasets_total: service.num_datasets(),
+        }),
+        Err(e) => WireRegisterResponse::err_core(&e),
     }
 }
 
-/// Server entry point for registration over the wire: parse, check the
-/// version, execute against any [`PlatformService`]; always answers with a
-/// serialized [`WireRegisterResponse`] envelope.
-pub fn wire_register(service: &(impl PlatformService + ?Sized), request_json: &str) -> String {
-    let response = match parse_request(request_json, |r: &WireRegisterRequest| r.v) {
-        Err((code, message)) => WireRegisterResponse::err(code, message),
-        Ok(req) => {
-            let dataset = req.upload.sketch.name.clone();
-            match service.register(req.upload) {
-                Ok(()) => WireRegisterResponse::ok(RegisterReceipt {
-                    dataset,
-                    datasets_total: service.num_datasets(),
-                }),
-                Err(e) => WireRegisterResponse::err_core(&e),
-            }
-        }
+/// Server entry point for admin calls over the wire: check the version,
+/// execute against any [`PlatformService`]; always answers with a
+/// [`WireAdminResponse`].
+pub fn wire_admin(
+    service: &(impl PlatformService + ?Sized),
+    request: WireAdminRequest,
+) -> WireAdminResponse {
+    if let Some(message) = unsupported(request.v) {
+        return WireAdminResponse::err(ErrorCode::UnsupportedVersion, message);
+    }
+    let result = match request.op {
+        AdminOp::Checkpoint => service.checkpoint().map(AdminReply::Checkpoint),
+        AdminOp::Stats => service.stats().map(AdminReply::Stats),
+        AdminOp::Metrics => service.metrics().map(AdminReply::Metrics),
     };
-    encode_envelope(&response)
+    match result {
+        Ok(reply) => WireAdminResponse::ok(reply),
+        Err(e) => WireAdminResponse::err_core(&e),
+    }
 }
 
-/// Server entry point for admin calls over the wire: parse, check the
-/// version, execute against any [`PlatformService`]; always answers with a
-/// serialized [`WireAdminResponse`] envelope.
-pub fn wire_admin(service: &(impl PlatformService + ?Sized), request_json: &str) -> String {
-    let response = match parse_request(request_json, |r: &WireAdminRequest| r.v) {
-        Err((code, message)) => WireAdminResponse::err(code, message),
-        Ok(req) => {
-            let result = match req.op {
-                AdminOp::Checkpoint => service.checkpoint().map(AdminReply::Checkpoint),
-                AdminOp::Stats => service.stats().map(AdminReply::Stats),
-                AdminOp::Metrics => service.metrics().map(AdminReply::Metrics),
-            };
-            match result {
-                Ok(reply) => WireAdminResponse::ok(reply),
-                Err(e) => WireAdminResponse::err_core(&e),
-            }
-        }
-    };
-    encode_envelope(&response)
-}
-
-/// Server entry point for search over the wire: parse, check the version,
-/// submit to any [`PlatformService`]. On acceptance, returns the
-/// [`WireSession`] encoder; on rejection, the serialized error response.
+/// Server entry point for search over the wire: check the version, submit
+/// to any [`PlatformService`]. On acceptance, returns the [`WireSession`];
+/// on rejection, the error response.
+#[allow(clippy::result_large_err)] // the response goes straight into a frame
 pub fn wire_submit(
     service: &(impl PlatformService + ?Sized),
-    request_json: &str,
-) -> std::result::Result<WireSession, String> {
-    let req = parse_request(request_json, |r: &WireSearchRequest| r.v)
-        .map_err(|(code, message)| encode_envelope(&WireSearchResponse::err(code, message)))?;
-    match service.submit_tagged(req.request, req.config, req.request_id) {
+    request: WireSearchRequest,
+) -> std::result::Result<WireSession, WireSearchResponse> {
+    if let Some(message) = unsupported(request.v) {
+        return Err(WireSearchResponse::err(ErrorCode::UnsupportedVersion, message));
+    }
+    match service.submit_tagged(request.request, request.config, request.request_id) {
         Ok(session) => Ok(WireSession {
             id: session.id(),
             control: session.control().clone(),
             session,
-            request_id: req.request_id,
+            request_id: request.request_id,
         }),
         // Structured rejection: Overloaded keeps its queue depth and
         // retry hint on the wire so clients can back off properly.
-        Err(e) => Err(encode_envelope(&WireSearchResponse::err_core(&e))),
+        Err(e) => Err(WireSearchResponse::err_core(&e)),
     }
 }
 
@@ -616,6 +581,7 @@ impl<L: Layout> PlatformService for Platform<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::decode_payload;
     use crate::platform::PlatformConfig;
     use crate::LocalDataStore;
     use mileena_relation::RelationBuilder;
@@ -670,11 +636,10 @@ mod tests {
     #[test]
     fn wire_register_rejects_versions_and_garbage() {
         let platform = platform_with_provider();
-        // Garbage payload.
-        let resp: WireRegisterResponse =
-            serde_json::from_str(&wire_register(&*platform, "{ not json")).unwrap();
-        assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::Malformed);
-        // Wrong version: serialize a valid request, then bump v.
+        // Garbage payload: the frame codec refuses it, typed.
+        let garbage = decode_payload::<ClientFrame>(b"{\"Register\":{ not json").unwrap_err();
+        assert_eq!(garbage.code, ErrorCode::Malformed);
+        // Wrong version.
         let upload = LocalDataStore::new(
             RelationBuilder::new("extra")
                 .int_col("zone", &[1, 2])
@@ -684,9 +649,7 @@ mod tests {
         )
         .prepare_upload(None, 1)
         .unwrap();
-        let json = serde_json::to_string(&WireRegisterRequest { v: 99, upload }).unwrap();
-        let resp: WireRegisterResponse =
-            serde_json::from_str(&wire_register(&*platform, &json)).unwrap();
+        let resp = wire_register(&*platform, WireRegisterRequest { v: 99, upload });
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::UnsupportedVersion);
         assert_eq!(platform.num_datasets(), 1, "rejected upload must not register");
     }
@@ -694,16 +657,9 @@ mod tests {
     #[test]
     fn wire_submit_rejects_unsupported_version() {
         let platform = platform_with_provider();
-        let json = serde_json::to_string(&WireSearchRequest {
-            v: 2,
-            request: sketched(),
-            config: None,
-            request_id: None,
-        })
-        .unwrap();
-        let err_json = wire_submit(&*platform, &json).unwrap_err();
-        let resp: WireSearchResponse = serde_json::from_str(&err_json).unwrap();
-        let err = resp.into_result().unwrap_err();
+        let request =
+            WireSearchRequest { v: 2, request: sketched(), config: None, request_id: None };
+        let err = wire_submit(&*platform, request).unwrap_err().into_result().unwrap_err();
         assert!(matches!(err, CoreError::Wire { code: ErrorCode::UnsupportedVersion, .. }));
     }
 
@@ -736,12 +692,11 @@ mod tests {
         assert_eq!(direct, via_wire, "stats must round-trip bit-identically");
         assert_eq!(via_wire.storage.as_ref().unwrap().snapshot_seq, Some(1));
 
-        // Version and garbage rejection on the admin entry point.
-        let resp: WireAdminResponse =
-            serde_json::from_str(&wire_admin(&*platform, "{ nope")).unwrap();
-        assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::Malformed);
-        let bad = serde_json::to_string(&WireAdminRequest { v: 9, op: AdminOp::Stats }).unwrap();
-        let resp: WireAdminResponse = serde_json::from_str(&wire_admin(&*platform, &bad)).unwrap();
+        // Garbage is refused by the frame codec, a version by the entry
+        // point.
+        let garbage = decode_payload::<ClientFrame>(b"{\"Admin\":{ nope").unwrap_err();
+        assert_eq!(garbage.code, ErrorCode::Malformed);
+        let resp = wire_admin(&*platform, WireAdminRequest { v: 9, op: AdminOp::Stats });
         assert_eq!(resp.err.as_ref().unwrap().code, ErrorCode::UnsupportedVersion);
 
         // Volatile platforms answer stats but refuse checkpoint, with the
@@ -803,33 +758,30 @@ mod tests {
         sharded.set_shard_available(1, false);
 
         // Fail-fast default: the typed shard error crosses the envelope.
-        let strict = serde_json::to_string(&WireSearchRequest {
+        let strict = WireSearchRequest {
             v: WIRE_VERSION,
             request: sketched(),
             config: None,
             request_id: None,
-        })
-        .unwrap();
-        let err_json = wire_submit(sharded.as_ref(), &strict).unwrap_err();
-        let resp: WireSearchResponse = serde_json::from_str(&err_json).unwrap();
+        };
+        let resp = wire_submit(sharded.as_ref(), strict).unwrap_err();
         assert_eq!(resp.into_result().unwrap_err(), CoreError::ShardUnavailable { shard: 1 });
 
         // Degraded opt-in: the partial reply crosses labeled.
-        let degraded = serde_json::to_string(&WireSearchRequest {
+        let degraded = WireSearchRequest {
             v: WIRE_VERSION,
             request: sketched(),
             config: Some(SearchConfig { degraded_ok: true, ..Default::default() }),
             request_id: None,
-        })
-        .unwrap();
-        let session = wire_submit(sharded.as_ref(), &degraded).unwrap();
+        };
+        let session = wire_submit(sharded.as_ref(), degraded.clone()).unwrap();
         let reply = session.finish().into_result().unwrap();
         assert!(reply.degraded, "partial scatter must label the reply");
         assert_eq!(reply.shards_missing, vec![1]);
 
         // Back to full strength: unlabeled again.
         sharded.set_shard_available(1, true);
-        let session = wire_submit(sharded.as_ref(), &degraded).unwrap();
+        let session = wire_submit(sharded.as_ref(), degraded).unwrap();
         let reply = session.finish().into_result().unwrap();
         assert!(!reply.degraded);
         assert!(reply.shards_missing.is_empty());
@@ -838,20 +790,18 @@ mod tests {
     #[test]
     fn wire_session_streams_versioned_events() {
         let platform = platform_with_provider();
-        let json = serde_json::to_string(&WireSearchRequest {
+        let request = WireSearchRequest {
             v: WIRE_VERSION,
             request: sketched(),
             config: None,
             request_id: Some(7001),
-        })
-        .unwrap();
-        let session = wire_submit(&*platform, &json).unwrap();
-        let events: Vec<String> = std::iter::from_fn(|| session.next_event()).collect();
+        };
+        let session = wire_submit(&*platform, request).unwrap();
+        let events: Vec<WireEvent> = std::iter::from_fn(|| session.next_event()).collect();
         assert!(!events.is_empty());
         for ev in &events {
-            let decoded: WireEvent = serde_json::from_str(ev).unwrap();
-            assert_eq!(decoded.v, WIRE_VERSION);
-            assert_eq!(decoded.session, session.id);
+            assert_eq!(ev.v, WIRE_VERSION);
+            assert_eq!(ev.session, session.id);
         }
         let response = session.finish();
         let reply = response.into_result().unwrap();

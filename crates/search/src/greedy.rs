@@ -7,8 +7,7 @@
 //!
 //! Candidates are projected onto the task feature space **once**, before
 //! round 1 ([`crate::cache::CandidateCache`]); every round then scores
-//! pre-projected arena slabs, optionally on worker threads
-//! (`SearchConfig::parallel`).
+//! pre-projected arena slabs.
 
 use crate::cache::CachedCandidate;
 use crate::candidates::{Augmentation, Candidate, CandidateSet};
@@ -17,7 +16,6 @@ use crate::proxy::ProxyState;
 use crate::request::{SearchConfig, SketchedRequest};
 use crate::scatter::{ScatterSearch, ShardPartition};
 use mileena_sketch::SketchStore;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -350,29 +348,15 @@ impl GreedySearch {
         (pick_best(scored), evaluated, skipped)
     }
 
-    /// Exhaustive round plan: score every remaining candidate (optionally
-    /// in parallel). The reference the pruned plan must match bit for bit.
+    /// Exhaustive round plan: score every remaining candidate. The
+    /// reference the pruned plan must match bit for bit.
     fn evaluate_round_exhaustive(
         &self,
         state: &ProxyState,
         entries: &[CachedCandidate],
     ) -> Vec<(usize, f64)> {
-        if self.config.parallel && entries.len() > 8 {
-            let results: Vec<Option<(usize, f64)>> = entries
-                .par_iter()
-                .enumerate()
-                .map(|(i, entry)| self.evaluate_entry(state, entry).map(|score| (i, score)))
-                .collect();
-            results.into_iter().flatten().collect()
-        } else {
-            let mut out = Vec::new();
-            for (i, entry) in entries.iter().enumerate() {
-                if let Some(score) = self.evaluate_entry(state, entry) {
-                    out.push((i, score));
-                }
-            }
-            out
-        }
+        let scored = entries.iter().enumerate();
+        scored.filter_map(|(i, entry)| Some((i, self.evaluate_entry(state, entry)?))).collect()
     }
 
     /// Bound-pruned round plan: walk candidates in descending bound order
@@ -667,23 +651,6 @@ mod tests {
                 step.augmentation
             );
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let cfg = small_corpus();
-        let (request, store, index) = setup(&cfg);
-        let seq =
-            search_with_discovery(&request, &store, &index, &SearchConfig::default()).unwrap();
-        let par = search_with_discovery(
-            &request,
-            &store,
-            &index,
-            &SearchConfig { parallel: true, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(seq.selected_joins(), par.selected_joins());
-        assert!((seq.final_score - par.final_score).abs() < 1e-12);
     }
 
     #[test]

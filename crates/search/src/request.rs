@@ -204,14 +204,6 @@ pub struct SearchConfig {
     /// many-to-many join that fans rows out re-weights the training set
     /// with no semantic justification.
     pub max_join_fanout: f64,
-    /// Evaluate candidates on worker threads: the in-tree `rayon` shim
-    /// spawns scoped threads per call, which claim items off a shared
-    /// counter (no pool, no work-stealing). Only effective with
-    /// `pruning: false`: the pruned plan is inherently sequential (each
-    /// evaluation tightens the incumbent threshold) and measures orders of
-    /// magnitude below even a parallel exhaustive sweep, so it ignores
-    /// this flag.
-    pub parallel: bool,
     /// Bound-pruned lazy rounds: evaluate candidates in descending order of
     /// their admissible score bound and stop a round once no remaining
     /// bound can beat the incumbent (or clear `min_gain`). Selections and
@@ -249,7 +241,6 @@ impl Default for SearchConfig {
             time_budget: Duration::from_secs(10),
             min_join_survival: 0.5,
             max_join_fanout: 1.5,
-            parallel: false,
             pruning: true,
             limits: CandidateLimits::default(),
             degraded_ok: false,
@@ -332,9 +323,13 @@ mod tests {
         // A config serialized before the fault-tolerance fields existed:
         // `degraded_ok` / `shard_deadline_ms` absent. `#[serde(default)]`
         // must fall back to the fail-fast defaults rather than erroring.
+        // Older clients also still send the removed `parallel` flag, which
+        // is ignored.
         let json = serde_json::to_string(&SearchConfig::default()).unwrap();
-        let stripped =
-            json.replace(",\"degraded_ok\":false", "").replace(",\"shard_deadline_ms\":0", "");
+        let stripped = json
+            .replace(",\"degraded_ok\":false", "")
+            .replace(",\"shard_deadline_ms\":0", "")
+            .replacen('{', "{\"parallel\":true,", 1);
         assert_ne!(json, stripped, "test must actually strip the new fields");
         let back: SearchConfig = serde_json::from_str(&stripped).unwrap();
         assert!(!back.degraded_ok);

@@ -13,7 +13,7 @@ mod parse;
 mod ser;
 mod value;
 
-pub use parse::from_str;
+pub use parse::{from_str, MAX_DEPTH};
 pub use ser::to_string;
 pub use value::Value;
 

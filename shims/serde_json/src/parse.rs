@@ -1,4 +1,8 @@
 //! Recursive-descent JSON parser into the [`Value`] tree.
+//!
+//! The recursion is bounded: an array or object nested deeper than
+//! [`MAX_DEPTH`] is a typed error, so a small hostile document cannot
+//! exhaust the parsing thread's stack.
 
 use crate::value::{Value, ValueDe};
 use crate::Error;
@@ -14,10 +18,14 @@ pub fn from_str<T: for<'de> serde::Deserialize<'de>>(input: &str) -> Result<T, E
     T::deserialize(ValueDe(&value))
 }
 
+/// How deep arrays and objects may nest in a parsed document (the limit
+/// upstream `serde_json` applies too).
+pub const MAX_DEPTH: usize = 128;
+
 fn parse_document(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::custom(format!("trailing input at byte {pos}")));
@@ -41,8 +49,13 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parse one value; `depth` is how many more levels of nesting may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    let opens = matches!(bytes.get(*pos), Some(b'[' | b'{'));
+    if opens && depth == 0 {
+        return Err(Error::custom(format!("nesting deeper than {MAX_DEPTH} at byte {pos}")));
+    }
     match bytes.get(*pos) {
         None => Err(Error::custom("unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, b"null", Value::Null),
@@ -58,7 +71,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -82,7 +95,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -220,4 +233,26 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         }
     }
     text.parse::<f64>().map(Value::Float).map_err(|_| Error::custom(format!("bad number `{text}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        assert!(parse_document(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_document(&objects).is_err());
+        // Far past the limit the parser still returns, on a spawned
+        // thread's default stack.
+        let deep = nested(100_000);
+        assert!(std::thread::spawn(move || parse_document(&deep).is_err()).join().unwrap());
+    }
 }

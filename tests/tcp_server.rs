@@ -7,8 +7,9 @@
 //!    for both the central and the sharded deployment.
 //! 2. **Framing robustness** — partial writes reassemble, oversized
 //!    frames are rejected with a typed error and a closed connection,
-//!    garbage inside a valid frame gets a typed error without killing the
-//!    connection.
+//!    garbage inside a valid frame (a document nested past the parser's
+//!    depth limit, or a frame in the older nested-string layout) gets a
+//!    typed error without killing the connection.
 //! 3. **No leaked work** — a client that disconnects mid-session gets its
 //!    session cancelled; the scheduler's counters drain to zero.
 //! 4. **Backpressure crosses the wire** — `Overloaded { retry_after_ms }`
@@ -20,10 +21,11 @@
 //!    SIGKILL it, reboot on the same directory, get identical results;
 //!    a polite shutdown exits 0.
 
+use mileena::core::wire::{WireAdminRequest, WireRegisterRequest, WireSearchRequest};
 use mileena::core::{
-    CentralPlatform, ClientFrame, CoreError, InProcess, LocalDataStore, PlatformConfig,
-    PlatformService, SchedulerConfig, SearchReply, SearchRequestBuilder, ServerFrame,
-    ShardedPlatform, TcpServer, TcpServerConfig, TcpWire, WIRE_VERSION,
+    AdminOp, CentralPlatform, ClientFrame, CoreError, ErrorCode, InProcess, LocalDataStore,
+    PlatformConfig, PlatformService, SchedulerConfig, SearchReply, SearchRequestBuilder,
+    ServerFrame, ShardedPlatform, TcpServer, TcpServerConfig, TcpWire, WIRE_VERSION,
 };
 use mileena::datagen::{generate_corpus, CorpusConfig, NycCorpus};
 use mileena::search::{SearchConfig, SketchedRequest, StopReason, TaskSpec};
@@ -94,7 +96,7 @@ fn read_server_frame(stream: &mut TcpStream) -> Option<ServerFrame> {
 }
 
 fn stats_admin_frame() -> ClientFrame {
-    ClientFrame::Admin { json: format!("{{\"v\":{WIRE_VERSION},\"op\":\"Stats\"}}") }
+    ClientFrame::Admin(WireAdminRequest { v: WIRE_VERSION, op: AdminOp::Stats })
 }
 
 #[test]
@@ -175,7 +177,7 @@ fn partial_writes_reassemble_into_frames() {
         std::thread::sleep(Duration::from_millis(5));
     }
     match read_server_frame(&mut stream) {
-        Some(ServerFrame::Reply { json }) => assert!(json.contains("\"ok\"")),
+        Some(ServerFrame::AdminReply(response)) => assert!(response.ok.is_some()),
         other => panic!("expected a Reply to the dribbled frame, got {other:?}"),
     }
     server.shutdown();
@@ -195,9 +197,12 @@ fn oversized_frames_get_typed_rejection_and_close() {
     stream.write_all(&(64u32 << 20).to_be_bytes()).unwrap();
     stream.flush().unwrap();
     match read_server_frame(&mut stream) {
-        Some(ServerFrame::Error { json }) => {
-            assert!(json.contains("Malformed"), "typed code expected, got: {json}");
-            assert!(json.contains("exceeds"), "message should explain the limit: {json}");
+        Some(ServerFrame::Error(error)) => {
+            assert_eq!(error.code, ErrorCode::Malformed, "typed code expected, got: {error:?}");
+            assert!(
+                error.message.contains("exceeds"),
+                "message should explain the limit: {error:?}"
+            );
         }
         other => panic!("expected a typed Error frame, got {other:?}"),
     }
@@ -213,12 +218,12 @@ fn oversized_frames_get_typed_rejection_and_close() {
     bytes.extend_from_slice(garbage);
     stream.write_all(&bytes).unwrap();
     match read_server_frame(&mut stream) {
-        Some(ServerFrame::Error { json }) => assert!(json.contains("Malformed")),
+        Some(ServerFrame::Error(error)) => assert_eq!(error.code, ErrorCode::Malformed),
         other => panic!("expected a typed Error frame, got {other:?}"),
     }
     stream.write_all(&frame_bytes(&stats_admin_frame())).unwrap();
     assert!(
-        matches!(read_server_frame(&mut stream), Some(ServerFrame::Reply { .. })),
+        matches!(read_server_frame(&mut stream), Some(ServerFrame::AdminReply(_))),
         "connection must survive a garbage frame"
     );
     server.shutdown();
@@ -251,15 +256,12 @@ fn client_disconnect_cancels_the_session() {
     )
     .unwrap();
 
-    let submit = ClientFrame::Submit {
-        json: serde_json::to_string(&mileena::core::wire::WireSearchRequest {
-            v: WIRE_VERSION,
-            request: sketched(&c, "quitter"),
-            config: None,
-            request_id: None,
-        })
-        .unwrap(),
-    };
+    let submit = ClientFrame::Submit(WireSearchRequest {
+        v: WIRE_VERSION,
+        request: sketched(&c, "quitter"),
+        config: None,
+        request_id: None,
+    });
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.write_all(&frame_bytes(&submit)).unwrap();
     match read_server_frame(&mut stream) {
@@ -526,7 +528,7 @@ fn half_closed_connection_is_closed_once_served() {
     .unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.write_all(&frame_bytes(&stats_admin_frame())).unwrap();
-    assert!(matches!(read_server_frame(&mut stream), Some(ServerFrame::Reply { .. })));
+    assert!(matches!(read_server_frame(&mut stream), Some(ServerFrame::AdminReply(_))));
 
     // A proxy passes a client's half-close on like this, then waits for
     // the server to close its end before it lets go of either socket.
@@ -548,15 +550,116 @@ fn wrong_version_is_rejected_over_tcp() {
     )
     .unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let frame = ClientFrame::Admin { json: "{\"v\":99,\"op\":\"Stats\"}".to_string() };
+    let frame = ClientFrame::Admin(WireAdminRequest { v: 99, op: AdminOp::Stats });
     stream.write_all(&frame_bytes(&frame)).unwrap();
     match read_server_frame(&mut stream) {
-        Some(ServerFrame::Reply { json }) => {
-            assert!(json.contains("UnsupportedVersion"), "got: {json}")
+        Some(ServerFrame::AdminReply(response)) => {
+            let code = response.err.map(|e| e.code);
+            assert_eq!(code, Some(ErrorCode::UnsupportedVersion), "got: {code:?}")
         }
         other => panic!("expected a Reply envelope, got {other:?}"),
     }
     server.shutdown();
+}
+
+/// Send `payload` as one raw frame: it must draw a typed `Malformed` error
+/// frame, and the same connection must then answer a `Stats` call.
+fn assert_refused_and_served_on(payload: &[u8]) {
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig::default()));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        platform as Arc<dyn PlatformService + Send + Sync>,
+        TcpServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(payload);
+    stream.write_all(&bytes).unwrap();
+    match read_server_frame(&mut stream) {
+        Some(ServerFrame::Error(error)) => assert_eq!(error.code, ErrorCode::Malformed),
+        other => panic!("expected a typed Error frame, got {other:?}"),
+    }
+    stream.write_all(&frame_bytes(&stats_admin_frame())).unwrap();
+    match read_server_frame(&mut stream) {
+        Some(ServerFrame::AdminReply(response)) => assert!(response.ok.is_some()),
+        other => panic!("the connection must keep serving, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// Ten thousand nested arrays are a 10 kB frame, far under `max_frame`.
+/// Parsed without a depth limit, they overflow the connection thread's
+/// stack and abort the whole server.
+#[test]
+fn deeply_nested_frame_is_refused_typed_and_the_connection_serves_on() {
+    assert_refused_and_served_on(&[b'['; 10_000]);
+}
+
+/// A frame in the older layout, which nested each envelope as a JSON
+/// string inside the frame, is not decoded a second way: it is refused.
+#[test]
+fn nested_string_layout_frame_is_refused_typed() {
+    let upload =
+        LocalDataStore::new(corpus().providers[0].clone()).prepare_upload(None, 5).unwrap();
+    let envelope = serde_json::to_string(&WireRegisterRequest { v: WIRE_VERSION, upload }).unwrap();
+    let quoted = serde_json::to_string(&envelope).unwrap();
+    assert_refused_and_served_on(format!("{{\"Register\":{{\"json\":{quoted}}}}}").as_bytes());
+}
+
+/// How deep arrays and objects nest in a JSON document.
+fn nesting_depth(json: &str) -> usize {
+    let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+    for b in json.bytes() {
+        match (in_string, escaped, b) {
+            (true, true, _) => escaped = false,
+            (true, false, b'\\') => escaped = true,
+            (true, false, b'"') | (false, _, b'"') => in_string = !in_string,
+            (false, _, b'[' | b'{') => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            (false, _, b']' | b'}') => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// The JSON parser refuses nesting past `serde_json::MAX_DEPTH`; the
+/// deepest real frame of a paper-scale corpus must sit well under it:
+/// every register, a submit, its result, and the admin replies.
+#[test]
+fn real_frames_nest_well_under_the_depth_limit() {
+    let c = generate_corpus(&CorpusConfig { num_datasets: 40, ..CorpusConfig::paper_scale(1) });
+    let platform = Arc::new(CentralPlatform::new(PlatformConfig::default()));
+    let mut deepest = 0;
+    let mut measure = |json: Result<String, serde_json::Error>| {
+        deepest = deepest.max(nesting_depth(&json.unwrap()));
+    };
+    for p in &c.providers {
+        let upload = LocalDataStore::new(p.clone()).prepare_upload(None, 5).unwrap();
+        platform.register(upload.clone()).unwrap();
+        let frame = ClientFrame::Register(WireRegisterRequest { v: WIRE_VERSION, upload });
+        measure(serde_json::to_string(&frame));
+    }
+    let request = sketched(&c, "depth");
+    let submit = WireSearchRequest { v: WIRE_VERSION, request, config: None, request_id: None };
+    let session = mileena::core::wire_submit(&*platform, submit.clone()).unwrap();
+    measure(serde_json::to_string(&ClientFrame::Submit(submit)));
+    let response = session.finish();
+    measure(serde_json::to_string(&ServerFrame::Result { session: session.id, response }));
+    for op in [AdminOp::Stats, AdminOp::Metrics] {
+        let response =
+            mileena::core::wire_admin(&*platform, WireAdminRequest { v: WIRE_VERSION, op });
+        measure(serde_json::to_string(&ServerFrame::AdminReply(response)));
+    }
+    assert_eq!(nesting_depth("{\"a\":[1,{\"b\":\"[{\\\"\"}]}"), 3, "the measure itself");
+    assert!(
+        deepest * 4 <= serde_json::MAX_DEPTH,
+        "a real frame nests {deepest} deep, against a limit of {}",
+        serde_json::MAX_DEPTH
+    );
 }
 
 /// Blocking read of the next stdout line from the server child.
